@@ -20,10 +20,10 @@ fmt-check:
 		exit 1; \
 	fi
 
-# lint builds the first-party vettool and runs its nine analyzers
+# lint builds the first-party vettool and runs its six analyzers
 # (simdeterminism, maporder, unitsafety, digestfield, eventcapture,
-# shardsafety, shardownership, slabescape, rngconfinement) over the
-# tree — including cmd/buflint and internal/lint themselves — through
+# slabescape) over the tree — including cmd/buflint and internal/lint
+# themselves — through
 # go vet's unitchecker protocol. Blocking: any finding fails the build,
 # and so does a stale //lint:ignore. See DESIGN.md "Static analysis".
 lint: $(BIN)/buflint
@@ -52,7 +52,6 @@ mutation:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueueConservation -fuzztime 30s ./internal/queue/
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerInvariants -fuzztime 30s ./internal/sim/
-	$(GO) test -run '^$$' -fuzz FuzzFrontierMerge -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzClassifier -fuzztime 30s ./internal/probe/
 
 # bench-smoke only checks the benchmarks still compile and run one
@@ -75,11 +74,10 @@ bench:
 bench-gate:
 	GOMAXPROCS=1 $(GO) run ./bench -out BENCH_kernel_ci.json -gate BENCH_kernel.json
 
-# bench-scale regenerates the flows x shards scaling curve (plus the
-# fabric shape and the million-sender slab footprint) against the
-# checked-in BENCH_scale.json; bench-scale-gate fails if any cell's
-# events/sec fell more than 5% below it — the budget the sharded
-# engine's bookkeeping must fit within on a sequential run.
+# bench-scale regenerates the flow-count scaling curve (plus the fabric
+# shape and the million-sender slab footprint) against the checked-in
+# BENCH_scale.json; bench-scale-gate fails if any cell's events/sec fell
+# more than 5% below it.
 bench-scale:
 	GOMAXPROCS=1 $(GO) run ./bench -scale -out BENCH_scale_ci.json -baseline BENCH_scale.json
 

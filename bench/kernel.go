@@ -7,7 +7,7 @@ import (
 
 // kernelDescription names the kernel generation being measured; it is
 // recorded in BENCH_kernel.json so before/after blocks are labelled.
-const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, pluggable congestion-control policy behind a per-flow interface"
+const kernelDescription = "inlined 4-ary min-heap over pooled event slots, typed actor dispatch on hot paths, pluggable congestion-control policy behind a per-flow interface, per-link delay lines (one heap entry per busy wire), dense node demux"
 
 // kernelChurn drives the scheduler through n events with a rolling window
 // of 100 pending timers — the steady-state load a packet simulation

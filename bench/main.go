@@ -55,13 +55,16 @@ type Block struct {
 	Benchmarks map[string]Metric `json:"benchmarks"`
 }
 
-// File is the BENCH_kernel.json schema.
+// File is the BENCH_kernel.json schema. Evidence is free-form recorded
+// data (BENCH_scale.json keeps the measurement grid that retired the
+// sharded kernel there); -baseline carries it forward unchanged.
 type File struct {
-	Note       string `json:"note"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Baseline   *Block `json:"baseline,omitempty"`
-	Current    Block  `json:"current"`
+	Note       string          `json:"note"`
+	GoVersion  string          `json:"go_version"`
+	GOMAXPROCS int             `json:"gomaxprocs"`
+	Baseline   *Block          `json:"baseline,omitempty"`
+	Current    Block           `json:"current"`
+	Evidence   json.RawMessage `json:"evidence,omitempty"`
 }
 
 func metric(r testing.BenchmarkResult, eventsPerOp int64) Metric {
@@ -113,7 +116,7 @@ func main() {
 		kernel   = flag.String("kernel", kernelDescription, "kernel description recorded in the output")
 		gate     = flag.String("gate", "", "BENCH_kernel.json whose 'current' block the fresh numbers must not regress against")
 		gatePct  = flag.Float64("gate-pct", 5, "maximum events/sec regression (percent) tolerated by -gate")
-		scale    = flag.Bool("scale", false, "run the flows x shards scaling curve (see scale.go) instead of the kernel benchmarks; pair with -out BENCH_scale.json")
+		scale    = flag.Bool("scale", false, "run the flow-count scaling curve (see scale.go) instead of the kernel benchmarks; pair with -out BENCH_scale.json")
 	)
 	flag.Parse()
 
@@ -134,6 +137,7 @@ func main() {
 			log.Fatal(err)
 		}
 		f.Baseline = &Block{Kernel: prev.Current.Kernel, Benchmarks: prev.Current.Benchmarks}
+		f.Evidence = prev.Evidence
 	}
 
 	if *scale {

@@ -316,7 +316,6 @@ func (s Simulation) longLived(o options) experiment.LongLivedConfig {
 		Metrics:        o.metrics,
 		Audit:          o.audit,
 		Cache:          o.cache,
-		Shards:         o.shardCount(),
 	}
 }
 
@@ -395,7 +394,6 @@ func SimulateSingleFlow(link Link, bufferFactor float64, seed int64, opts ...Opt
 		Metrics:        o.metrics,
 		Audit:          o.audit,
 		Cache:          o.cache,
-		Shards:         o.shardCount(),
 	}
 	if o.variant != nil {
 		run.Variant = *o.variant
@@ -466,7 +464,6 @@ func SimulateShortFlows(cfg ShortFlowSimulation, opts ...Option) ShortFlowResult
 		Metrics:       o.metrics,
 		Audit:         o.audit,
 		Cache:         o.cache,
-		Shards:        o.shardCount(),
 	}
 	if o.variant != nil {
 		run.Variant = *o.variant
@@ -547,7 +544,6 @@ func SimulateMix(cfg MixSimulation, opts ...Option) MixResult {
 		Metrics:        o.metrics,
 		Audit:          o.audit,
 		Cache:          o.cache,
-		Shards:         o.shardCount(),
 	}
 	if o.variant != nil {
 		run.Variant = *o.variant
@@ -631,7 +627,6 @@ func SimulateTrace(cfg TraceSimulation, opts ...Option) TraceResult {
 		Metrics:        o.metrics,
 		Audit:          o.audit,
 		Cache:          o.cache,
-		Shards:         o.shardCount(),
 	}
 	if o.variant != nil {
 		run.Variant = *o.variant

@@ -1,8 +1,8 @@
-// Buflint is the simulator's vettool: it assembles the internal/lint
-// analyzers (simdeterminism, maporder, unitsafety, digestfield,
-// eventcapture, shardsafety, shardownership, slabescape,
-// rngconfinement) into a binary that speaks the `go vet -vettool`
-// unitchecker protocol, built entirely on the standard library.
+// Buflint is the simulator's vettool: it assembles the six
+// internal/lint analyzers (simdeterminism, maporder, unitsafety,
+// digestfield, eventcapture, slabescape) into a binary that speaks the
+// `go vet -vettool` unitchecker protocol, built entirely on the standard
+// library.
 //
 // Usage:
 //
@@ -43,10 +43,10 @@ import (
 
 // version keys go vet's action cache: bump it whenever any analyzer's
 // behavior changes so cached "clean" verdicts are invalidated. v2 is the
-// dataflow engine: flow-aware simdeterminism, shardownership,
-// slabescape, rngconfinement, fingerprints and stale-suppression
-// checking.
-const version = "buflint version v2.0.0"
+// dataflow engine: flow-aware simdeterminism and slabescape,
+// fingerprints and stale-suppression checking; v3 drops the three
+// analyzers that guarded the removed sharded kernel.
+const version = "buflint version v3.0.0"
 
 func main() {
 	args := os.Args[1:]

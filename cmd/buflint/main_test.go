@@ -195,58 +195,32 @@ func TestVetToolProtocol(t *testing.T) {
 	}
 }
 
-// stubSim is a miniature bufsim/internal/sim for synthetic modules: the
-// new analyzers match types by package-path suffix and name, so a stub
-// with the right shapes exercises them without the real kernel.
-const stubSim = `package sim
+// wallViolations plants one flow-aware simdeterminism finding in a
+// deterministic package, next to a wall read the dataflow engine must
+// exempt because it reaches only stderr.
+const wallViolations = `package link
 
-type Event struct{ id int32 }
+import (
+	"fmt"
+	"os"
+	"time"
+)
 
-type Target struct{ shard int32 }
+var lastElapsed time.Duration
 
-type Actor interface{ OnEvent(op int32, arg any) }
+// record stores its argument in package state: not a telemetry sink.
+func record(d time.Duration) { lastElapsed = d }
 
-type Scheduler struct{ shards int }
-
-func (s *Scheduler) EnableShards(n int, lookahead int64)                     { s.shards = n }
-func (s *Scheduler) ShardView(k int) *Scheduler                              { return s }
-func (s *Scheduler) ShardCount() int                                         { return s.shards }
-func (s *Scheduler) TargetFor(a Actor) Target                                { return Target{} }
-func (s *Scheduler) PostAfter(d int64, a Actor, op int32, arg any) Event     { return Event{} }
-func (s *Scheduler) PostToAfter(d int64, tg Target, op int32, arg any) Event { return Event{} }
-func (s *Scheduler) Cancel(e Event)                                          {}
-
-type RNG struct{ state uint64 }
-
-func NewRNG(seed int64) *RNG    { return &RNG{state: uint64(seed)} }
-func (g *RNG) Fork() *RNG       { return &RNG{state: g.state*6364136223846793005 + 1} }
-func (g *RNG) Float64() float64 { return float64(g.state) }
-`
-
-// shardViolations plants one shardownership and one rngconfinement
-// finding in a shard-aware package (so shardsafety stays quiet).
-const shardViolations = `package topology
-
-import "bufsim/internal/sim"
-
-type probe struct{ hits int }
-
-func (p *probe) OnEvent(op int32, arg any) {}
-
-// DoubleBind schedules one probe through two shard views.
-func DoubleBind(s *sim.Scheduler, p *probe) {
-	v0 := s.ShardView(0)
-	v1 := s.ShardView(1)
-	v0.PostAfter(5, p, 1, nil)
-	v1.PostAfter(5, p, 1, nil)
+// Leak hands wall time to record.
+func Leak() {
+	t0 := time.Now()
+	record(time.Since(t0))
 }
 
-// ShardCountDraw draws only in sharded runs.
-func ShardCountDraw(s *sim.Scheduler, g *sim.RNG) float64 {
-	if s.ShardCount() > 1 {
-		return g.Float64()
-	}
-	return 0
+// Progress times work for stderr only.
+func Progress() {
+	t0 := time.Now()
+	fmt.Fprintln(os.Stderr, time.Since(t0))
 }
 `
 
@@ -273,17 +247,16 @@ func Stale(sl *Slab) float64 {
 func writeV2Module(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
-		"go.mod":                   "module bufsim\n\ngo 1.22\n",
-		"internal/sim/sim.go":      stubSim,
-		"internal/topology/cut.go": shardViolations,
-		"internal/tcp/slab.go":     slabViolations,
+		"go.mod":                "module bufsim\n\ngo 1.22\n",
+		"internal/link/wall.go": wallViolations,
+		"internal/tcp/slab.go":  slabViolations,
 	})
 }
 
 // TestStandaloneDataflowAnalyzers plants exactly one violation for each
-// of the dataflow analyzers (shardownership, rngconfinement,
-// slabescape) in a synthetic module and asserts the exit status and the
-// three diagnostics.
+// of the dataflow analyzers (simdeterminism, slabescape) in a synthetic
+// module and asserts the exit status and the two diagnostics — and that
+// the telemetry-only wall read stays exempt.
 func TestStandaloneDataflowAnalyzers(t *testing.T) {
 	bin := buildTool(t, t.TempDir())
 	mod := writeV2Module(t)
@@ -299,12 +272,11 @@ func TestStandaloneDataflowAnalyzers(t *testing.T) {
 		t.Errorf("exit code = %d, want 2\n%s", code, out)
 	}
 	text := string(out)
-	if !strings.Contains(text, "buflint: 3 finding(s)") {
-		t.Errorf("want exactly 3 findings, got:\n%s", text)
+	if !strings.Contains(text, "buflint: 2 finding(s)") {
+		t.Errorf("want exactly 2 findings, got:\n%s", text)
 	}
 	for _, want := range []string{
-		"p crosses shard views: bound to ShardView(0), now scheduled through ShardView(1)",
-		"RNG draw g.Float64 is control-dependent on the shard count (ShardCount)",
+		"wall.go:17:9: wall-clock time.Since in deterministic package bufsim/internal/link",
 		"p aliases a tcp.Slab column and is used after a call that can reach addRow",
 	} {
 		if !strings.Contains(text, want) {
@@ -314,7 +286,7 @@ func TestStandaloneDataflowAnalyzers(t *testing.T) {
 }
 
 // TestStandaloneJSON checks the -json report: every finding carries a
-// 16-hex-digit fingerprint and the timing block names all nine
+// 16-hex-digit fingerprint and the timing block names all six
 // analyzers, so the CI budget is observable.
 func TestStandaloneJSON(t *testing.T) {
 	bin := buildTool(t, t.TempDir())
@@ -341,8 +313,8 @@ func TestStandaloneJSON(t *testing.T) {
 	if err := json.Unmarshal(out, &report); err != nil {
 		t.Fatalf("parsing -json output: %v\n%s", err, out)
 	}
-	if len(report.Findings) != 3 {
-		t.Fatalf("findings = %d, want 3\n%s", len(report.Findings), out)
+	if len(report.Findings) != 2 {
+		t.Fatalf("findings = %d, want 2\n%s", len(report.Findings), out)
 	}
 	fp := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	seen := map[string]bool{}
@@ -364,7 +336,7 @@ func TestStandaloneJSON(t *testing.T) {
 	}
 	for _, name := range []string{
 		"simdeterminism", "maporder", "unitsafety", "digestfield", "eventcapture",
-		"shardsafety", "shardownership", "slabescape", "rngconfinement",
+		"slabescape",
 	} {
 		if !timed[name] {
 			t.Errorf("timings missing analyzer %s:\n%s", name, out)

@@ -52,7 +52,6 @@ func main() {
 		wlArg     = flag.String("workload", "", "time-varying workload profile: a preset name ("+strings.Join(bufsim.ProfileNames(), ", ")+") or a profile .json file; runs the profile scenario instead of the long-lived one, with -flows as the peak population")
 		wlLoad    = flag.Float64("workload-load", 0.85, "short-flow offered load at the profile's arrival peak")
 		wlFlowLen = flag.Int64("workload-flow-length", 14, "short-flow size in segments for -workload")
-		shards    = flag.Int("shards", 0, "parallel event shards for the kernel (0: sequential); results are bit-identical at any count")
 		advArg    = flag.String("adversary", "", "adversarial pattern ("+strings.Join(bufsim.AdversaryNames(), ", ")+"); runs worst-case traffic instead of the long-lived scenario, with -flows as the cohort size")
 	)
 	flag.Parse()
@@ -90,7 +89,7 @@ func main() {
 			log.Fatal(err)
 		}
 		printRules(link, sim.Flows, sim.BufferPackets)
-		runAndPrint(link, sim, *skipSim, *metrics, *auditOn, cache, *shards)
+		runAndPrint(link, sim, *skipSim, *metrics, *auditOn, cache)
 		return
 	}
 
@@ -148,7 +147,7 @@ func main() {
 			link: link, buffer: b, peakFlows: *flows,
 			seed: *seed, warmup: warmup, measure: measure,
 			red: *red, variant: v, paced: *paced,
-		}, *skipSim, *metrics, *auditOn, cache, *shards)
+		}, *skipSim, *metrics, *auditOn, cache)
 		return
 	}
 	runAndPrint(link, bufsim.Simulation{
@@ -162,7 +161,7 @@ func main() {
 		RED:           *red,
 		Variant:       v,
 		Paced:         *paced,
-	}, *skipSim, *metrics, *auditOn, cache, *shards)
+	}, *skipSim, *metrics, *auditOn, cache)
 }
 
 // printRules shows the sizing rules and hardware verdict for the chosen
@@ -188,7 +187,7 @@ func printRules(link bufsim.Link, flows, buffer int) {
 // as JSON. When auditOn is set the run executes under the
 // conservation-law checker and any violation is fatal. When cache is
 // non-nil the result is memoized there.
-func runAndPrint(link bufsim.Link, cfg bufsim.Simulation, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache, shards int) {
+func runAndPrint(link bufsim.Link, cfg bufsim.Simulation, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache) {
 	if skip {
 		return
 	}
@@ -205,9 +204,6 @@ func runAndPrint(link bufsim.Link, cfg bufsim.Simulation, skip bool, metricsPath
 	}
 	if cache != nil {
 		opts = append(opts, bufsim.WithCacheStore(cache))
-	}
-	if shards > 1 {
-		opts = append(opts, bufsim.WithShards(shards))
 	}
 	fmt.Printf("simulating %d %v flows for %v (+%v warmup)...\n",
 		cfg.Flows, cfg.Variant, cfg.Measure, cfg.Warmup)
@@ -347,7 +343,7 @@ func resolveProfile(arg string) (bufsim.Profile, error) {
 
 // runProfileAndPrint runs the -workload scenario through
 // SimulateProfile and reports the surge's outcome.
-func runProfileAndPrint(sc profileScenario, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache, shards int) {
+func runProfileAndPrint(sc profileScenario, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache) {
 	prof, err := resolveProfile(sc.arg)
 	if err != nil {
 		log.Fatalf("-workload: %v", err)
@@ -377,9 +373,6 @@ func runProfileAndPrint(sc profileScenario, skip bool, metricsPath string, audit
 	}
 	if cache != nil {
 		opts = append(opts, bufsim.WithCacheStore(cache))
-	}
-	if shards > 1 {
-		opts = append(opts, bufsim.WithShards(shards))
 	}
 	fmt.Printf("simulating %q workload (peak load %.0f%%, peak %d long flows) for %v (+%v warmup)...\n",
 		prof.Name, 100*sc.load, sc.peakFlows, sc.measure, sc.warmup)

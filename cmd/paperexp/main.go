@@ -80,7 +80,6 @@ func main() {
 		metOut   = flag.String("metrics", "", "write run telemetry to this JSON file")
 		cpuprof  = flag.String("pprof", "", "write a CPU profile to this file")
 		par      = flag.Int("parallel", 0, "max simulations in flight per sweep (0: all CPUs); results are identical at any setting")
-		shards   = flag.Int("shards", 0, "parallel event shards inside each simulation (0: sequential kernel); results are identical at any setting")
 		auditOn  = flag.Bool("audit", false, "run every experiment under the conservation-law checker; violations are logged and the run exits nonzero")
 		cacheOn  = flag.Bool("cache", false, "memoize per-point results in a content-addressed store; a re-run with identical parameters replays from disk")
 		cacheDir = flag.String("cachedir", filepath.Join("results", "cache"), "directory for the -cache store")
@@ -103,7 +102,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, parallel: *par, shards: *shards, workload: *wlArg, adversary: *advArg}
+	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, parallel: *par, workload: *wlArg, adversary: *advArg}
 	if *resume || *verify {
 		*cacheOn = true
 	}
@@ -203,7 +202,6 @@ type runner struct {
 	csvDir    string
 	svgDir    string
 	parallel  int    // worker bound for the sweeping experiments; 0 = all CPUs
-	shards    int    // parallel event shards per simulation; 0 = sequential
 	workload  string // -workload: profile preset name or .json path
 	adversary string // -adversary: restrict the adversarial sweep to one pattern
 	metrics   *metrics.Registry
@@ -331,7 +329,7 @@ func (r runner) writeCSV(name string, series ...*trace.Series) error {
 }
 
 func (r runner) singleFlow(factor float64, name string) error {
-	cfg := experiment.SingleFlowConfig{BufferFactor: factor, Metrics: r.child(), Audit: r.audit, Cache: r.cache, Shards: r.shards}
+	cfg := experiment.SingleFlowConfig{BufferFactor: factor, Metrics: r.child(), Audit: r.audit, Cache: r.cache}
 	if r.quick {
 		cfg.Warmup, cfg.Measure = 60*units.Second, 60*units.Second
 	}
@@ -493,7 +491,7 @@ func (r runner) shortFlows() error {
 }
 
 func (r runner) afct(sizes workload.SizeDist, name string) error {
-	cfg := experiment.AFCTComparisonConfig{Seed: r.seed, Sizes: sizes, Metrics: r.child(), Audit: r.audit, Cache: r.cache, Shards: r.shards}
+	cfg := experiment.AFCTComparisonConfig{Seed: r.seed, Sizes: sizes, Metrics: r.child(), Audit: r.audit, Cache: r.cache}
 	if r.quick {
 		cfg.NLong = 60
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -691,7 +689,7 @@ func (r runner) ccFamilies() error {
 // profile .json); curves are rescaled to the experiment's peak load and
 // population, so they act as shapes.
 func (r runner) flashCrowd() error {
-	cfg := experiment.FlashCrowdConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume, Shards: r.shards}
+	cfg := experiment.FlashCrowdConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
 	if r.workload != "" {
 		p, err := profile.FromArg(r.workload)
 		if err != nil {

@@ -56,12 +56,6 @@ type AFCTComparisonConfig struct {
 	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
 	// instead of the measurement window (see LongLivedConfig).
 	MeanQueueIncludesWarmup bool
-
-	// Shards requests sharded kernel execution (see LongLivedConfig.Shards).
-	// Mixed traffic is generator-driven, so the effective count is capped at
-	// two (see sharedGeneratorShards). An observer: excluded from the cache
-	// key, results bit-identical at every count.
-	Shards int
 }
 
 func (c AFCTComparisonConfig) withDefaults() AFCTComparisonConfig {
@@ -155,10 +149,6 @@ type MixedConfig struct {
 	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
 	// instead of the measurement window (see LongLivedConfig).
 	MeanQueueIncludesWarmup bool
-
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
 }
 
 // RunMixed executes one mixed-traffic scenario.
@@ -182,7 +172,6 @@ func RunMixed(cfg MixedConfig) AFCTOutcome {
 		Measure:         cfg.Measure,
 		Audit:           cfg.Audit,
 		Cache:           cfg.Cache,
-		Shards:          cfg.Shards,
 
 		MeanQueueIncludesWarmup: cfg.MeanQueueIncludesWarmup,
 	}.withDefaults()
@@ -238,10 +227,6 @@ type TraceConfig struct {
 	// Cache, when non-nil, memoizes the replay's result (see
 	// LongLivedConfig.Cache).
 	Cache *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
 }
 
 // TraceResult summarizes a replayed trace.
@@ -300,7 +285,6 @@ func runTrace(cfg TraceConfig) TraceResult {
 		RTTMin:          cfg.RTTMin,
 		RTTMax:          cfg.RTTMax,
 		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
 	}
 	if cfg.UseRED {
 		topoCfg.NewQueue = redQueueHook(cfg.BufferPackets, cfg.SegmentSize, cfg.BottleneckRate, rng.Fork(), false)
@@ -372,7 +356,6 @@ func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int, reg *m
 		RTTMin:          cfg.RTTMin,
 		RTTMax:          cfg.RTTMax,
 		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
 	}
 	if cfg.UseRED {
 		topoCfg.NewQueue = redQueueHook(buffer, cfg.SegmentSize, cfg.BottleneckRate, rng.Fork(), false)

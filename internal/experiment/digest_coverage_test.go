@@ -51,7 +51,7 @@ var digestConfigs = []any{
 // names excluded from the digest at any nesting depth.
 var ignoredFieldNames = map[string]bool{
 	"Metrics": true, "Audit": true, "Cache": true,
-	"Resume": true, "Parallelism": true, "Ctx": true, "Shards": true,
+	"Resume": true, "Parallelism": true, "Ctx": true,
 }
 
 // TestDigestCoversEveryField is the cache's completeness contract,
@@ -76,7 +76,6 @@ func TestDigestCoversEveryField(t *testing.T) {
 		"Resume":      true,
 		"Parallelism": 4,
 		"Ctx":         context.Background(),
-		"Shards":      3,
 	}
 	for _, cfg := range digestConfigs {
 		typ := reflect.TypeOf(cfg)

@@ -33,12 +33,12 @@ func resultDigest(t *testing.T, v any) string {
 var goldenDigestCases = []struct {
 	name string
 	want string
-	run  func(cache *runcache.Store, shards int) any
+	run  func(cache *runcache.Store) any
 }{
 	{
 		name: "long_lived_reno",
 		want: "3d4617a738c64df2e222ca3ca2333300a0ffebd9c2be8ebdcde13a475a8d6c98",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 7, N: 24, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 40,
@@ -47,14 +47,13 @@ var goldenDigestCases = []struct {
 				// integration started at t=0; keep that epoch.
 				MeanQueueIncludesWarmup: true,
 				Cache:                   cache,
-				Shards:                  shards,
 			})
 		},
 	},
 	{
 		name: "long_lived_sack_paced_delack",
 		want: "b5a656317af17dfa1ac4b229cd99e10ea5939682f5aef0ead952a59d21b89d47",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 11, N: 16, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 25, Variant: 3, /* Sack */
@@ -62,69 +61,67 @@ var goldenDigestCases = []struct {
 				Warmup: 4 * units.Second, Measure: 8 * units.Second,
 				MeanQueueIncludesWarmup: true,
 				Cache:                   cache,
-				Shards:                  shards,
 			})
 		},
 	},
 	{
 		name: "long_lived_red_ecn",
 		want: "add72eca42d9e202e691005e4425cd7e85da6dbbe0048ec004e420a7366c35d1",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 3, N: 20, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 30, UseRED: true, ECN: true,
 				Warmup: 4 * units.Second, Measure: 8 * units.Second,
 				MeanQueueIncludesWarmup: true,
 				Cache:                   cache,
-				Shards:                  shards,
 			})
 		},
 	},
 	{
 		name: "long_lived_cubic",
 		want: "ab78bc44d4975a329be3f3ec6741da5db68ee9fab99884d6ac46f400277c002a",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 13, N: 24, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 40, Variant: 4, /* Cubic */
 				Warmup: 4 * units.Second, Measure: 8 * units.Second,
-				Cache: cache, Shards: shards,
+				Cache: cache,
 			})
 		},
 	},
 	{
 		name: "long_lived_bbr",
 		want: "0297c3f652b500fdf658e2897ab901e0bd099c9f9495a931b795e393fc53c5fd",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunLongLived(LongLivedConfig{
 				Seed: 17, N: 16, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 30, Variant: 5, /* BBR */
 				DelayedAck: true,
 				Warmup:     4 * units.Second, Measure: 8 * units.Second,
-				Cache: cache, Shards: shards,
+				Cache: cache,
 			})
 		},
 	},
 	{
 		name: "single_flow_sawtooth",
 		want: "b944849af08fc27334a6d438a21a7c1c3a3888914de021470ff0720238a5d273",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunSingleFlow(SingleFlowConfig{
 				BottleneckRate: 10 * units.Mbps, BufferFactor: 1,
 				Warmup: 30 * units.Second, Measure: 40 * units.Second,
-				Cache: cache, Shards: shards,
+				Cache: cache,
 			})
 		},
 	},
 	{
 		name: "short_flows",
 		want: "5d4523c64431bd9c5764512cf63f90d15d96c3c95ac360b9ab1651a9c012d714",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			afct, completed, censored := ShortFlowAFCT(ShortFlowRunConfig{
 				Seed: 5, Rate: 20 * units.Mbps, Load: 0.7,
 				FlowLength: 14, BufferPackets: 50,
 				Warmup: 4 * units.Second, Measure: 10 * units.Second,
-				Cache: cache, Shards: shards,
+				Cache: cache,
 			})
 			return map[string]any{"afct": afct, "completed": completed, "censored": censored}
 		},
@@ -132,7 +129,7 @@ var goldenDigestCases = []struct {
 	{
 		name: "mixed_traffic",
 		want: "b3b8bf33498a7f8cd472b6ca0dc6b242c644084b8efb24c54fcb1fc8978fe95f",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			return RunMixed(MixedConfig{
 				Seed: 9, NLong: 12, ShortLoad: 0.15,
 				Sizes:          workload.GeometricSize(10),
@@ -140,14 +137,13 @@ var goldenDigestCases = []struct {
 				Warmup: 5 * units.Second, Measure: 10 * units.Second,
 				MeanQueueIncludesWarmup: true,
 				Cache:                   cache,
-				Shards:                  shards,
 			})
 		},
 	},
 	{
 		name: "profile_flashcrowd",
 		want: "fa7d5874c5551439e82a093a0928c15f5e464cf2d2bd12a30aaa92e7cf1581e7",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			prof, err := profile.FlashCrowd.Profile().Compress(4)
 			if err != nil {
 				panic(err)
@@ -157,14 +153,14 @@ var goldenDigestCases = []struct {
 				Stations: 20, Profile: prof, PeakFlows: 8,
 				Buffers: []int{25, 100},
 				Warmup:  2 * units.Second, Drain: 20 * units.Second,
-				Cache: cache, Shards: shards,
+				Cache: cache,
 			})
 		},
 	},
 	{
 		name: "trace_replay",
 		want: "7290a2b5fb47831db7e58c781fe5fffa64b33d509eb6b618a7329c14fd81c949",
-		run: func(cache *runcache.Store, shards int) any {
+		run: func(cache *runcache.Store) any {
 			flows := make([]workload.FlowSpec, 0, 60)
 			for i := 0; i < 60; i++ {
 				flows = append(flows, workload.FlowSpec{
@@ -176,7 +172,7 @@ var goldenDigestCases = []struct {
 				Seed: 2, Flows: flows,
 				BottleneckRate: 10 * units.Mbps, BufferPackets: 30,
 				Drain: 20 * units.Second,
-				Cache: cache, Shards: shards,
+				Cache: cache,
 			})
 		},
 	},
@@ -191,7 +187,7 @@ var goldenDigestCases = []struct {
 func TestGoldenDigests(t *testing.T) {
 	for _, tc := range goldenDigestCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := resultDigest(t, tc.run(nil, 0))
+			got := resultDigest(t, tc.run(nil))
 			if got != tc.want {
 				t.Errorf("digest = %s, want %s\n(a digest change means the kernel no longer reproduces the pre-rewrite packet schedule)", got, tc.want)
 			}
@@ -214,10 +210,10 @@ func TestGoldenDigestsCached(t *testing.T) {
 	for _, tc := range goldenDigestCases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := store.Stats()
-			if got := resultDigest(t, tc.run(store, 0)); got != tc.want {
+			if got := resultDigest(t, tc.run(store)); got != tc.want {
 				t.Errorf("cold cached digest = %s, want %s", got, tc.want)
 			}
-			if got := resultDigest(t, tc.run(store, 0)); got != tc.want {
+			if got := resultDigest(t, tc.run(store)); got != tc.want {
 				t.Errorf("warm cached digest = %s, want %s", got, tc.want)
 			}
 			after := store.Stats()

@@ -98,12 +98,6 @@ type LongLivedConfig struct {
 	// Ctx, when non-nil, cancels a replicated sweep between points
 	// (in-flight points finish). A single RunLongLived ignores it.
 	Ctx context.Context
-
-	// Shards requests sharded (parallel) kernel execution with the given
-	// number of event shards (see topology.Config.Shards). Sharding is an
-	// observer: results are bit-identical at every shard count, so like
-	// Metrics and Parallelism the field is excluded from the cache key.
-	Shards int
 }
 
 func (c LongLivedConfig) withDefaults() LongLivedConfig {
@@ -183,21 +177,6 @@ func RunLongLived(cfg LongLivedConfig) LongLivedResult {
 	})
 }
 
-// sharedGeneratorShards caps the shard count for scenarios driven by a
-// dynamic flow generator (short flows, sessions, traces, profiles). Those
-// generators mutate shared bookkeeping — active counts, flow records —
-// from completion callbacks that fire in station context, so every
-// station must live on one shard. Two shards is exactly that placement:
-// the bottleneck on shard 0, all stations (and hence the whole generator)
-// on shard 1. Long-lived-only scenarios have no such coupling and shard
-// fully.
-func sharedGeneratorShards(n int) int {
-	if n > 2 {
-		return 2
-	}
-	return n
-}
-
 // runLongLived is the uncached body of RunLongLived; cfg has defaults
 // applied.
 func runLongLived(cfg LongLivedConfig) LongLivedResult {
@@ -215,7 +194,6 @@ func runLongLived(cfg LongLivedConfig) LongLivedResult {
 		RTTMin:          cfg.RTTMin,
 		RTTMax:          cfg.RTTMax,
 		Auditor:         cfg.Audit,
-		Shards:          cfg.Shards,
 	}
 	if cfg.ECN && !cfg.UseRED {
 		panic("experiment: ECN requires UseRED (a marking-capable queue)")

@@ -53,10 +53,6 @@ type ProfileRunConfig struct {
 	Metrics *metrics.Registry
 	Audit   *audit.Auditor
 	Cache   *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
 }
 
 func (c ProfileRunConfig) withDefaults() ProfileRunConfig {
@@ -143,7 +139,6 @@ func runProfileUncached(cfg ProfileRunConfig) ProfileRunResult {
 		RTTMin:          cfg.MeanRTT * 6 / 10,
 		RTTMax:          cfg.MeanRTT * 14 / 10,
 		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
 	}
 	if cfg.UseRED {
 		topoCfg.NewQueue = redQueueHook(cfg.BufferPackets, cfg.SegmentSize, cfg.Rate, rng.Fork(), false)
@@ -245,10 +240,6 @@ type FlashCrowdConfig struct {
 	Resume      bool
 	Parallelism int
 	Ctx         context.Context
-
-	// Shards requests sharded kernel execution for every swept point
-	// (see AFCTComparisonConfig.Shards).
-	Shards int
 }
 
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
@@ -391,7 +382,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 			Drain:         cfg.Drain,
 			Audit:         cfg.Audit,
 			Cache:         cfg.Cache,
-			Shards:        cfg.Shards,
 		})
 		out[k] = FlashCrowdRow{
 			Buffer:      buffer,
@@ -429,7 +419,6 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 				Drain:         cfg.Drain,
 				Metrics:       child,
 				Cache:         cfg.Cache,
-				Shards:        cfg.Shards,
 			})
 			cfg.Metrics.Merge(fmt.Sprintf("buffer=%d", r.Buffer), child)
 		}

@@ -10,40 +10,44 @@ import (
 	"bufsim/internal/units"
 )
 
-// shardSweep is the shard-count axis of the equivalence tests: unsharded,
-// the minimum sharded cut, a mid count, and more shards than some
-// scenarios have stations (exercising the clamp).
+// The tests in this file once compared a sharded kernel with the
+// sequential one. The kernel is sequential only now, and "shards=n" in a
+// case name is a label, not a kernel setting: each case runs one copy of
+// its scenario in parallel with the scenario's other cases, so the copies
+// execute concurrently and any state shared between simulations — a
+// package-level pool, ring, slab or RNG — perturbs at least one digest.
+
+// shardSweep labels the parallel copies of each pinned scenario.
 var shardSweep = []int{1, 2, 4, 8}
 
-// TestShardedMatchesUnsharded is the sharded kernel's proof obligation:
-// every pinned-digest scenario must reproduce its golden digest — the one
-// recorded on the sequential kernel — bit for bit at every shard count.
-// The digests cover every result field (throughputs, queue occupancies,
-// AFCTs, full time series), so a single reordered packet anywhere in the
-// run fails the test. Combined with TestGoldenDigests (shards = 0) this
-// pins sharded == unsharded == pre-rewrite kernel.
+// TestShardedMatchesUnsharded requires every pinned-digest scenario to
+// reproduce its golden digest bit for bit in each of its concurrent
+// copies. The digests cover every result field (throughputs, queue
+// occupancies, AFCTs, full time series), so a single reordered packet in
+// any copy fails the test.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	counts := shardSweep
 	if testing.Short() {
 		counts = []int{2, 8}
 	}
 	for _, tc := range goldenDigestCases {
-		for _, n := range counts {
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, n), func(t *testing.T) {
-				got := resultDigest(t, tc.run(nil, n))
-				if got != tc.want {
-					t.Errorf("digest with %d shards = %s, want %s\n(the sharded kernel diverged from the sequential packet schedule)", n, got, tc.want)
-				}
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range counts {
+				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+					t.Parallel()
+					if got := resultDigest(t, tc.run(nil)); got != tc.want {
+						t.Errorf("digest = %s, want %s\n(concurrent simulations share mutable state)", got, tc.want)
+					}
+				})
+			}
+		})
 	}
 }
 
-// TestShardedMatchesUnshardedRandomized widens the equivalence check past
-// the pinned scenarios: randomized long-lived configs (the family that
-// shards fully, with every station on its own shard class) must produce
-// identical digests sharded and unsharded. The configs are drawn from a
-// fixed seed so failures reproduce.
+// TestShardedMatchesUnshardedRandomized widens the check past the pinned
+// scenarios: randomized long-lived configs, each digested once alone,
+// must produce that digest in every concurrent copy. The configs are
+// drawn from a fixed seed so failures reproduce.
 func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
@@ -62,39 +66,39 @@ func TestShardedMatchesUnshardedRandomized(t *testing.T) {
 			Measure:        4 * units.Second,
 		}
 		want := resultDigest(t, RunLongLived(cfg))
-		for _, n := range []int{2, 4, 8} {
-			sharded := cfg
-			sharded.Shards = n
-			t.Run(fmt.Sprintf("cfg%d/shards=%d", i, n), func(t *testing.T) {
-				if got := resultDigest(t, RunLongLived(sharded)); got != want {
-					t.Errorf("digest with %d shards = %s, want %s (config %+v)", n, got, want, cfg)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("cfg%d", i), func(t *testing.T) {
+			for _, n := range []int{2, 4, 8} {
+				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+					t.Parallel()
+					if got := resultDigest(t, RunLongLived(cfg)); got != want {
+						t.Errorf("digest = %s, want %s (config %+v)", got, want, cfg)
+					}
+				})
+			}
+		})
 	}
 }
 
-// TestShardedAuditZeroViolations runs sharded scenarios under the
-// conservation-law auditor: sharding must not perturb a single invariant
-// — per-shard clocks and the merge points stay monotone, queues conserve
-// packets, TCP windows balance. A sequential control run establishes the
-// baseline expectation of zero.
+// TestShardedAuditZeroViolations runs concurrent copies of one scenario,
+// each under its own conservation-law auditor: concurrency must not
+// perturb a single invariant — clocks stay monotone, queues conserve
+// packets, TCP windows balance.
 func TestShardedAuditZeroViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
 	}
 	for _, n := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			t.Parallel()
 			aud := audit.New()
 			RunLongLived(LongLivedConfig{
 				Seed: 7, N: 24, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 40,
 				Warmup:        4 * units.Second, Measure: 8 * units.Second,
-				Audit:  aud,
-				Shards: n,
+				Audit: aud,
 			})
 			if vs := aud.Violations(); len(vs) != 0 {
-				t.Fatalf("audit reported %d violations under %d shards; first: %s", len(vs), n, vs[0])
+				t.Fatalf("audit reported %d violations; first: %s", len(vs), vs[0])
 			}
 		})
 	}

@@ -159,10 +159,6 @@ type ShortFlowRunConfig struct {
 	// Cache, when non-nil, memoizes the run's (AFCT, completed,
 	// censored) outcome (see LongLivedConfig.Cache).
 	Cache *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// AFCTComparisonConfig.Shards).
-	Shards int
 }
 
 func (c ShortFlowRunConfig) withDefaults() ShortFlowRunConfig {
@@ -227,7 +223,6 @@ func runShortFlowAFCT(cfg ShortFlowRunConfig) (units.Duration, int, int) {
 		RTTMin:          cfg.MeanRTT * 6 / 10,
 		RTTMax:          cfg.MeanRTT * 14 / 10,
 		Auditor:         cfg.Audit,
-		Shards:          sharedGeneratorShards(cfg.Shards),
 	}
 	if cfg.UseRED {
 		topoCfg.NewQueue = redQueueHook(cfg.BufferPackets, cfg.SegmentSize, cfg.Rate, rng.Fork(), false)

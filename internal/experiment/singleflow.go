@@ -55,11 +55,6 @@ type SingleFlowConfig struct {
 	// Cache, when non-nil, memoizes the result, time series included
 	// (see LongLivedConfig.Cache).
 	Cache *runcache.Store
-
-	// Shards requests sharded kernel execution (see
-	// LongLivedConfig.Shards). With one station the effective count is at
-	// most two (bottleneck shard + station shard).
-	Shards int
 }
 
 func (c SingleFlowConfig) withDefaults() SingleFlowConfig {
@@ -131,7 +126,6 @@ func runSingleFlow(cfg SingleFlowConfig) SingleFlowResult {
 		RTTMin:          cfg.RTT,
 		RTTMax:          cfg.RTT,
 		Auditor:         cfg.Audit,
-		Shards:          cfg.Shards,
 	}
 	if cfg.UseRED {
 		topoCfg.NewQueue = redQueueHook(buffer, cfg.SegmentSize, cfg.BottleneckRate, sim.NewRNG(cfg.Seed).Fork(), false)

@@ -21,12 +21,11 @@ const cacheSalt = "bufsim-results-v1"
 
 // digestIgnore lists the config fields that never change what a run
 // computes: observers (Metrics, Audit), the cache plumbing itself
-// (Cache, Resume), and execution policy (Parallelism, Ctx, Shards —
-// sharded runs are bit-identical to sequential ones by the kernel's
-// equivalence contract). Everything else in a config is semantic and
-// part of the cache key — the reflection completeness test in
-// digest_coverage_test.go enforces that split.
-var digestIgnore = runcache.IgnoreFields("Metrics", "Audit", "Cache", "Resume", "Parallelism", "Ctx", "Shards")
+// (Cache, Resume), and execution policy (Parallelism, Ctx). Everything
+// else in a config is semantic and part of the cache key — the
+// reflection completeness test in digest_coverage_test.go enforces that
+// split.
+var digestIgnore = runcache.IgnoreFields("Metrics", "Audit", "Cache", "Resume", "Parallelism", "Ctx")
 
 // pointKey is the cache key for one computation of the given kind.
 func pointKey(kind string, cfg any) string {

@@ -26,6 +26,9 @@ type Link struct {
 	delay units.Duration
 	q     queue.Queue
 	dst   packet.Handler
+	// wire carries packets in propagation. A zero-delay link leaves it
+	// unused and hands each packet to dst as it finishes transmitting.
+	wire sim.DelayLine
 
 	busy      bool
 	busySince units.Time
@@ -46,23 +49,14 @@ type Link struct {
 	OnDequeue func(p *packet.Packet, queued units.Duration)
 	// OnDrop, if set, observes packets rejected by the queue.
 	OnDrop func(p *packet.Packet)
-
-	// DeliverVia, if set, routes each packet's arrival event to the shard
-	// that owns the far end of the wire (see sim.Target): propagation is
-	// scheduled on the returned target instead of self-posting opArrive,
-	// so the arrival fires in the destination's shard. The propagation
-	// delay doubles as the sharded kernel's lookahead, which is why a
-	// cross-shard link must have positive delay. An invalid target falls
-	// back to the self-post path. Delivery times and event order are
-	// identical either way — sharded and unsharded runs are bit-identical.
-	DeliverVia func(p *packet.Packet) sim.Target
 }
 
 // Link event opcodes (see sim.Actor).
 const (
 	// opTxDone: the last bit of the packet left the transmitter.
 	opTxDone int32 = iota
-	// opArrive: the packet finished propagating and reaches dst.
+	// opArrive: the packet finished propagating and reaches dst
+	// (delivered by the link's delay line).
 	opArrive
 )
 
@@ -88,7 +82,11 @@ func New(name string, sched *sim.Scheduler, rate units.BitRate, d units.Duration
 	if d < 0 {
 		panic("link: negative delay")
 	}
-	return &Link{name: name, sched: sched, rate: rate, delay: d, q: q, dst: dst}
+	l := &Link{name: name, sched: sched, rate: rate, delay: d, q: q, dst: dst}
+	if d > 0 {
+		l.wire = sched.NewDelayLine(l, opArrive)
+	}
+	return l
 }
 
 // Name returns the link's diagnostic name.
@@ -161,14 +159,8 @@ func (l *Link) finishTransmit(p *packet.Packet) {
 
 	if l.delay == 0 {
 		l.dst.Handle(p)
-	} else if l.DeliverVia != nil {
-		if tg := l.DeliverVia(p); tg.Valid() {
-			l.sched.PostToAfter(l.delay, tg, opArrive, p)
-		} else {
-			l.sched.PostAfter(l.delay, l, opArrive, p)
-		}
 	} else {
-		l.sched.PostAfter(l.delay, l, opArrive, p)
+		l.wire.Push(now.Add(l.delay), p)
 	}
 	if l.q.Len() > 0 {
 		l.startNext()
@@ -229,9 +221,10 @@ func (l *Link) Utilization(busyAtFrom units.Duration, from units.Time) float64 {
 }
 
 // Instrument registers the link's telemetry into reg under name: busy
-// (transmitting) seconds and delivered packet/byte counts, published by a
-// snapshot-time collector. The link's queue is instrumented separately via
-// queue.Instrument. A nil registry is a no-op.
+// (transmitting) seconds, delivered packet/byte counts, and the packets
+// currently and at most in propagation (in_flight, in_flight_max), all
+// published by a snapshot-time collector. The link's queue is
+// instrumented separately via queue.Instrument. A nil registry is a no-op.
 func (l *Link) Instrument(reg *metrics.Registry, name string) {
 	if reg == nil {
 		return
@@ -239,10 +232,14 @@ func (l *Link) Instrument(reg *metrics.Registry, name string) {
 	busy := reg.Gauge(name + ".busy_seconds")
 	pkts := reg.Counter(name + ".delivered_packets")
 	bytes := reg.Counter(name + ".delivered_bytes")
+	inFlight := reg.Gauge(name + ".in_flight")
+	inFlightMax := reg.Gauge(name + ".in_flight_max")
 	reg.OnCollect(func() {
 		busy.Set(l.BusyTime().Seconds())
 		pkts.Set(l.deliveredPackets)
 		bytes.Set(int64(l.deliveredBytes))
+		inFlight.Set(float64(l.InFlight()))
+		inFlightMax.Set(float64(l.InFlightMax()))
 	})
 }
 
@@ -251,3 +248,9 @@ func (l *Link) DeliveredPackets() int64 { return l.deliveredPackets }
 
 // DeliveredBytes returns the bytes fully transmitted.
 func (l *Link) DeliveredBytes() units.ByteSize { return l.deliveredBytes }
+
+// InFlight returns the packets currently propagating on the wire.
+func (l *Link) InFlight() int { return l.wire.Len() }
+
+// InFlightMax returns the most packets ever propagating at once.
+func (l *Link) InFlightMax() int { return l.wire.Peak() }

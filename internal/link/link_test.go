@@ -3,6 +3,7 @@ package link
 import (
 	"testing"
 
+	"bufsim/internal/metrics"
 	"bufsim/internal/packet"
 	"bufsim/internal/queue"
 	"bufsim/internal/sim"
@@ -227,8 +228,99 @@ func TestUtilizationEmptyWindow(t *testing.T) {
 func TestZeroDelayDeliversSynchronously(t *testing.T) {
 	s, l, c := newTestLink(t, 10*units.Mbps, 0, 10)
 	l.Send(mkpkt(0, 1000))
-	s.Run(units.Time(800 * units.Microsecond))
-	if len(c.pkts) != 1 {
-		t.Fatalf("zero-delay link did not deliver at end of serialization")
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d after send, want 1 (the transmission)", s.Pending())
+	}
+	// The transmit completion is the only event: the delivery happens
+	// inside it, with no propagation event behind it.
+	if !s.Step() {
+		t.Fatal("no transmission event")
+	}
+	if len(c.pkts) != 1 || c.times[0] != units.Time(800*units.Microsecond) {
+		t.Fatalf("zero-delay link delivered %d packets at %v, want 1 at the end of serialization", len(c.pkts), c.times)
+	}
+	if s.Pending() != 0 || s.Processed != 1 {
+		t.Errorf("after delivery: %d pending, %d processed; want 0 and 1", s.Pending(), s.Processed)
+	}
+	if l.InFlight() != 0 || l.InFlightMax() != 0 {
+		t.Errorf("zero-delay link reports %d in flight (max %d)", l.InFlight(), l.InFlightMax())
+	}
+}
+
+// echo sends every packet it receives straight back into the link, so a
+// fixed population circulates and the transmitter never idles.
+type echo struct {
+	l         *Link
+	delivered int
+	limit     int
+	last      units.Time
+}
+
+func (e *echo) Handle(p *packet.Packet) {
+	e.delivered++
+	e.last = e.l.sched.Now()
+	if e.delivered < e.limit {
+		e.l.Send(p)
+	}
+}
+
+// TestBusyLinkRingStaysBounded pushes 10^6 packets through a link that
+// never idles. The wire holds about delay/transmission-time packets at
+// once; its ring may be at most twice that peak, however many packets
+// have passed through. Propagating packets also stay out of the heap:
+// it holds the transmission and the wire's head, nothing more.
+func TestBusyLinkRingStaysBounded(t *testing.T) {
+	const n = 1_000_000
+	s := sim.NewScheduler()
+	e := &echo{limit: n}
+	// 1000 B at 1 Gb/s is 8 us; 1 ms of delay holds 125 packets.
+	l := New("busy", s, units.Gbps, units.Millisecond, queue.NewDropTail(queue.Unlimited()), e)
+	e.l = l
+	for i := 0; i < 200; i++ {
+		l.Send(mkpkt(int64(i), 1000))
+	}
+	s.Run(units.Never - 1)
+	if e.delivered != n+199 {
+		t.Fatalf("delivered %d packets, want %d", e.delivered, n+199)
+	}
+	// Never idle: the last packet lands one propagation delay after the
+	// transmitter's total busy time.
+	if busy := l.BusyTime(); e.last != units.Epoch.Add(busy+units.Millisecond) {
+		t.Errorf("last delivery at %v after %v busy: the link idled", e.last, busy)
+	}
+	peak := l.InFlightMax()
+	if peak < 125 || peak > 126 {
+		t.Errorf("peak in flight = %d, want about 125", peak)
+	}
+	if got := l.wire.Cap(); got > 2*peak {
+		t.Errorf("ring capacity %d exceeds twice the peak in flight (%d)", got, peak)
+	}
+	if s.MaxPending() > 2 {
+		t.Errorf("heap peaked at %d entries; propagating packets leaked into it", s.MaxPending())
+	}
+}
+
+// TestInstrumentInFlight reads the in-flight gauges through a snapshot.
+func TestInstrumentInFlight(t *testing.T) {
+	s, l, _ := newTestLink(t, 10*units.Mbps, 5*units.Millisecond, 10)
+	reg := metrics.New()
+	l.Instrument(reg, "test")
+	for i := 0; i < 3; i++ {
+		l.Send(mkpkt(int64(i), 1000))
+	}
+	// By 3 ms all three have left the transmitter (0.8 ms each) and
+	// none has arrived (the first lands at 5.8 ms).
+	s.Run(units.Time(3 * units.Millisecond))
+	reg.Collect()
+	if got := reg.Gauge("test.in_flight").Value(); got != 3 {
+		t.Errorf("in_flight = %v at 3 ms, want 3", got)
+	}
+	s.Run(units.Time(units.Second))
+	reg.Collect()
+	if got := reg.Gauge("test.in_flight").Value(); got != 0 {
+		t.Errorf("in_flight = %v after drain, want 0", got)
+	}
+	if got := reg.Gauge("test.in_flight_max").Value(); got != 3 {
+		t.Errorf("in_flight_max = %v, want 3", got)
 	}
 }

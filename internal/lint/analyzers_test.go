@@ -18,19 +18,12 @@ func TestDigestField(t *testing.T) {
 	linttest.Run(t, lint.DigestField, "digestcfg", "profilecfg", "advcfg")
 }
 func TestEventCapture(t *testing.T) { linttest.Run(t, lint.EventCapture, "eventcap") }
-func TestShardSafety(t *testing.T)  { linttest.Run(t, lint.ShardSafety, "shardsafe") }
-func TestShardOwnership(t *testing.T) {
-	linttest.Run(t, lint.ShardOwnership, "shardown")
-}
 func TestSlabEscape(t *testing.T) {
 	linttest.Run(t, lint.SlabEscape, "internal/tcp")
 }
-func TestRNGConfinement(t *testing.T) {
-	linttest.Run(t, lint.RNGConfinement, "rngconf")
-}
 
 // TestSuiteComplete pins the analyzer roster: the CI gate, the vettool
-// and the docs all promise these nine checks.
+// and the docs all promise these six checks.
 func TestSuiteComplete(t *testing.T) {
 	want := map[string]bool{
 		"simdeterminism": true,
@@ -38,10 +31,7 @@ func TestSuiteComplete(t *testing.T) {
 		"unitsafety":     true,
 		"digestfield":    true,
 		"eventcapture":   true,
-		"shardsafety":    true,
-		"shardownership": true,
 		"slabescape":     true,
-		"rngconfinement": true,
 	}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
@@ -95,18 +85,8 @@ func TestAppliesToScopes(t *testing.T) {
 		{lint.EventCapture, "bufsim/internal/experiment", true},
 		{lint.MapOrder, "bufsim/internal/experiment", true},
 		{lint.DigestField, "bufsim/internal/experiment", true},
-		{lint.ShardSafety, "bufsim/internal/queue", true},
-		{lint.ShardSafety, "bufsim/internal/tcp", true},
-		{lint.ShardSafety, "bufsim/internal/workload", true},
-		{lint.ShardSafety, "bufsim/internal/lint", true}, // lint-the-linter: the suite holds itself to the surface rules
-		{lint.ShardOwnership, "bufsim/internal/topology", true},
-		{lint.ShardOwnership, "bufsim/internal/link", true},
-		{lint.ShardOwnership, "bufsim/internal/sim", false}, // the kernel implements the frontier itself
 		{lint.SlabEscape, "bufsim/internal/tcp", true},
 		{lint.SlabEscape, "bufsim/internal/queue", false}, // columns are unexported; only tcp can alias them
-		{lint.RNGConfinement, "bufsim/internal/workload", true},
-		{lint.RNGConfinement, "bufsim/internal/experiment", true},
-		{lint.RNGConfinement, "bufsim/internal/sim", false}, // sim owns RNG and the shard machinery
 	}
 	for _, c := range cases {
 		if got := c.analyzer.AppliesTo(c.pkg); got != c.want {

@@ -1,9 +1,8 @@
 package lint
 
 // The intraprocedural dataflow engine behind the flow-aware analyzers
-// (simdeterminism, shardownership, slabescape, rngconfinement). The
-// design is deliberately small: a *tag* is a fact about a value ("came
-// from this time.Now call", "is the scheduler view for shard 1", "is an
+// (simdeterminism, slabescape). The design is deliberately small: a
+// *tag* is a fact about a value ("came from this time.Now call", "is an
 // interior pointer into a Slab column"), tags attach to expressions at
 // *sources*, and a per-function fixpoint propagates them through local
 // def-use chains. Analyzers then walk the function once more and ask
@@ -11,23 +10,20 @@ package lint
 //
 // The engine is flow-insensitive within a function (a variable's tag
 // set is the union over all its assignments) and purely intraprocedural
-// except for two explicit bridges: constDef (single-assignment constant
-// propagation, used by shardsafety) and callGraph.reaches (static-
-// dispatch transitive reachability, used by slabescape). Both err on
-// the side of fewer facts, so analyzers built on the engine miss
-// exotic flows rather than inventing false ones.
+// except for one explicit bridge: callGraph.reaches (static-dispatch
+// transitive reachability, used by slabescape). It errs on the side of
+// fewer facts, so analyzers built on the engine miss exotic flows rather
+// than inventing false ones.
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
 
 // tag is one dataflow fact. kind namespaces the analyzer ("wall",
-// "view", "bind", "slab", "rng", "nshard"); key identifies the source
-// ("file:line:col" of the originating call, a constant shard index, a
-// parameter name).
+// "slab"); key identifies the source ("file:line:col" of the
+// originating call, a parameter name).
 type tag struct {
 	kind string
 	key  string
@@ -107,7 +103,7 @@ type funcFlow struct {
 	edges []flowEdge
 	vars  map[*types.Var]tagSet
 	// seeds carry externally injected tags (parameter sources for
-	// summaries, shard-view bindings) that survive re-solving.
+	// summaries) that survive re-solving.
 	seeds map[*types.Var]tagSet
 }
 
@@ -203,7 +199,7 @@ func (ff *funcFlow) collectEdges() {
 }
 
 // seed injects externally supplied tags on a variable (a parameter
-// under summary analysis, a shard binding) ahead of solving.
+// under summary analysis) ahead of solving.
 func (ff *funcFlow) seed(v *types.Var, t tag, pos token.Pos) bool {
 	ts := ff.seeds[v]
 	if ts == nil {
@@ -213,9 +209,8 @@ func (ff *funcFlow) seed(v *types.Var, t tag, pos token.Pos) bool {
 	if !ts.add(t, pos) {
 		return false
 	}
-	// Make the seed visible to exprTags immediately: callers interleave
-	// seeding with queries (shardownership binds post sites in source
-	// order), and solve() re-merges seeds anyway.
+	// Make the seed visible to exprTags immediately, so callers may
+	// interleave seeding with queries; solve() re-merges seeds anyway.
 	dst := ff.vars[v]
 	if dst == nil {
 		dst = make(tagSet)
@@ -339,53 +334,6 @@ func (ff *funcFlow) addExprTags(out tagSet, e ast.Expr) {
 			}
 		}
 	}
-}
-
-// constDef returns the constant value of a single-assignment local
-// whose one definition is a compile-time constant — the def-use
-// counterpart of types.Info.Types[expr].Value for plain literals.
-func (ff *funcFlow) constDef(v *types.Var) (constant.Value, bool) {
-	var def ast.Expr
-	for _, e := range ff.edges {
-		if e.dst != v {
-			continue
-		}
-		if e.viaIndex || e.viaStore || def != nil {
-			return nil, false // reassigned, or not a plain copy
-		}
-		def = e.rhs
-	}
-	if def == nil {
-		return nil, false
-	}
-	tv, ok := ff.pass.Info.Types[def]
-	if !ok || tv.Value == nil {
-		return nil, false
-	}
-	return tv.Value, true
-}
-
-// constIntArg resolves a call argument to a constant int, either
-// directly (a literal or named constant) or through a single-assignment
-// local. The second result reports whether a constant was found.
-func constIntArg(pass *Pass, ff *funcFlow, e ast.Expr) (int64, bool) {
-	if tv, ok := pass.Info.Types[e]; ok && tv.Value != nil {
-		if n, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact {
-			return n, true
-		}
-		return 0, false
-	}
-	if ff == nil {
-		return 0, false
-	}
-	if v := ff.localVar(e); v != nil {
-		if val, ok := ff.constDef(v); ok {
-			if n, exact := constant.Int64Val(constant.ToInt(val)); exact {
-				return n, true
-			}
-		}
-	}
-	return 0, false
 }
 
 func funcBody(node ast.Node) *ast.BlockStmt {

@@ -17,18 +17,9 @@
 //     runcache digest or explicitly ignored.
 //   - eventcapture: hot paths use the pooled kernel's Actor dispatch,
 //     not closure posting, and never compare Event handles.
-//   - shardsafety: the cross-shard scheduling surface stays confined to
-//     the shard-aware layers, so the topology cut remains the only
-//     place events cross shards — the structural fact the sharded
-//     kernel's bit-identical equivalence proof rests on.
-//   - shardownership: values bound to ShardView(k) are scheduled only
-//     through shard k; cross-shard work goes through the
-//     PostToAt/PostToAfter frontier (dataflow-based).
 //   - slabescape: no pointer or subslice into a tcp.Slab column is
 //     retained across anything that can reach addRow, whose append
 //     reallocation would invalidate it (dataflow-based).
-//   - rngconfinement: each RNG stream stays on one shard and no draw
-//     site is control-dependent on the shard count (dataflow-based).
 //
 // The analyzers mirror the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but are built purely on the standard
@@ -142,10 +133,7 @@ func Analyzers() []*Analyzer {
 		UnitSafety,
 		DigestField,
 		EventCapture,
-		ShardSafety,
-		ShardOwnership,
 		SlabEscape,
-		RNGConfinement,
 	}
 }
 

@@ -46,8 +46,8 @@ type Loader struct {
 	loading map[string]bool
 
 	// Tags are extra build tags honored when selecting files, so tests
-	// can load deliberately seeded mutations (e.g. the shardmutation
-	// cross-shard bug) that normal builds exclude. Set before the first
+	// can load deliberately seeded mutations (e.g. the slabmutation
+	// aliasing bug) that normal builds exclude. Set before the first
 	// Load; the loader memoizes per instance.
 	Tags []string
 }

@@ -7,19 +7,19 @@ import (
 	"bufsim/internal/lint"
 )
 
-// TestSeededMutationDetected loads the deliberately seeded cross-shard
-// ownership bug in internal/topology (build tag "shardmutation",
-// excluded from every normal build) and demands that shardownership
-// reports it: the analyzer proves itself against the real tree, not
-// just against fixtures. Without the tag the package must stay clean —
-// the same source the digest harness actually runs.
+// TestSeededMutationDetected loads the deliberately seeded slab-aliasing
+// bug in internal/tcp (build tag "slabmutation", excluded from every
+// normal build) and demands that slabescape reports it: the analyzer
+// proves itself against the real tree, not just against fixtures.
+// Without the tag the package must stay clean — the same source the
+// digest harness actually runs.
 func TestSeededMutationDetected(t *testing.T) {
 	mod, err := lint.FindModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pkg = "bufsim/internal/topology"
-	analyzers := []*lint.Analyzer{lint.ShardOwnership}
+	const pkg = "bufsim/internal/tcp"
+	analyzers := []*lint.Analyzer{lint.SlabEscape}
 
 	load := func(tags ...string) []lint.Finding {
 		t.Helper()
@@ -37,19 +37,19 @@ func TestSeededMutationDetected(t *testing.T) {
 	}
 
 	if clean := load(); len(clean) != 0 {
-		t.Fatalf("topology without the mutation should be clean, got %v", clean)
+		t.Fatalf("tcp without the mutation should be clean, got %v", clean)
 	}
 
-	seeded := load("shardmutation")
+	seeded := load("slabmutation")
 	found := false
 	for _, f := range seeded {
-		if f.Analyzer == "shardownership" &&
-			strings.Contains(f.Message, "crosses shard views") &&
-			strings.Contains(f.Position.Filename, "shardmutation.go") {
+		if f.Analyzer == "slabescape" &&
+			strings.Contains(f.Message, "used after a call that can reach addRow") &&
+			strings.Contains(f.Position.Filename, "slabmutation.go") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("shardownership did not report the seeded cross-shard mutation; findings: %v", seeded)
+		t.Fatalf("slabescape did not report the seeded slab-aliasing mutation; findings: %v", seeded)
 	}
 }

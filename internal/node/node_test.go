@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bufsim/internal/packet"
@@ -23,25 +25,52 @@ func TestRouterForwardsByDestination(t *testing.T) {
 	}
 }
 
+// panicText runs fn and returns the string it panicked with ("" if it
+// returned normally). A runtime error (an index out of range, say) is a
+// runtime.Error, not a string, and comes back formatted with a prefix
+// the callers' message checks reject.
+func panicText(fn func()) (msg string) {
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case string:
+			msg = v
+		default:
+			msg = fmt.Sprintf("non-string panic %T: %v", v, v)
+		}
+	}()
+	fn()
+	return ""
+}
+
 func TestRouterDuplicateRoutePanics(t *testing.T) {
 	r := NewRouter(1, "r1")
 	r.AddRoute(10, &sink{})
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate route did not panic")
+	r.AddRoute(3, &sink{}) // a lower ID after a higher one
+	for _, dst := range []packet.NodeID{10, 3} {
+		got := panicText(func() { r.AddRoute(dst, &sink{}) })
+		want := fmt.Sprintf("node: router r1 already has a route for %d", dst)
+		if got != want {
+			t.Errorf("duplicate route for %d panicked with %q, want %q", dst, got, want)
 		}
-	}()
-	r.AddRoute(10, &sink{})
+	}
 }
 
 func TestRouterUnroutablePanics(t *testing.T) {
 	r := NewRouter(1, "r1")
-	defer func() {
-		if recover() == nil {
-			t.Error("unroutable packet did not panic")
+	r.AddRoute(2, &sink{})
+	r.AddRoute(5, &sink{})
+	// 0 and 3 fall inside the table on unset slots, -1 and the extreme
+	// negative would index before it, 6 and 99 past its end.
+	for _, dst := range []packet.NodeID{0, 3, -1, -1 << 31, 6, 99} {
+		got := panicText(func() { r.Handle(&packet.Packet{Dst: dst}) })
+		if !strings.HasPrefix(got, "node: router r1 has no route for ") {
+			t.Errorf("packet for %d panicked with %q, want a \"no route\" panic", dst, got)
 		}
-	}()
-	r.Handle(&packet.Packet{Dst: 99})
+	}
+	if got := panicText(func() { r.AddRoute(-1, &sink{}) }); !strings.HasPrefix(got, "node: router r1 ") {
+		t.Errorf("negative destination route panicked with %q", got)
+	}
 }
 
 func TestHostDemuxByFlow(t *testing.T) {
@@ -62,25 +91,41 @@ func TestHostDemuxByFlow(t *testing.T) {
 
 func TestHostDetachDropsSilently(t *testing.T) {
 	h := NewHost(5, "h")
-	f := &sink{}
+	f, g, k := &sink{}, &sink{}, &sink{}
 	h.Attach(1, f)
-	h.Detach(1)
+	h.Attach(2, g)
+	h.Attach(3, k)
+	h.Detach(1)                       // swap-removes: flow 3 moves into flow 1's place
+	h.Detach(7)                       // never attached: a no-op
 	h.Handle(&packet.Packet{Flow: 1}) // must not panic
+	h.Handle(&packet.Packet{Flow: 2})
+	h.Handle(&packet.Packet{Flow: 3})
 	if len(f.got) != 0 {
 		t.Error("detached agent still received packets")
+	}
+	if len(g.got) != 1 || len(k.got) != 1 {
+		t.Errorf("remaining agents got %d/%d packets, want 1/1", len(g.got), len(k.got))
 	}
 	// Re-attach after detach is allowed (flow IDs are unique in practice,
 	// but the host should not care).
 	h.Attach(1, f)
+	h.Handle(&packet.Packet{Flow: 1})
+	if len(f.got) != 1 {
+		t.Error("re-attached agent did not receive its packet")
+	}
 }
 
 func TestHostDuplicateAttachPanics(t *testing.T) {
 	h := NewHost(5, "h")
 	h.Attach(1, &sink{})
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate attach did not panic")
-		}
-	}()
+	h.Attach(2, &sink{})
+	h.Detach(1)
 	h.Attach(1, &sink{})
+	for _, f := range []packet.FlowID{1, 2} {
+		got := panicText(func() { h.Attach(f, &sink{}) })
+		want := fmt.Sprintf("node: host h already has an agent for flow %d", f)
+		if got != want {
+			t.Errorf("duplicate attach of flow %d panicked with %q, want %q", f, got, want)
+		}
+	}
 }

@@ -82,14 +82,26 @@ func FuzzSchedulerInvariants(f *testing.F) {
 		s := NewScheduler()
 		s.SetAuditor(aud)
 		a := &testActor{}
+		line := s.NewDelayLine(a, 9)
+		var tail units.Time
 		var handles []Event
 		for i := 0; i+1 < len(data); i += 2 {
 			op, b := data[i]>>6, data[i]&0x3f
 			switch op {
 			case 0: // schedule a closure event b ticks out
 				handles = append(handles, s.After(units.Duration(b), func() {}))
-			case 1: // schedule a typed event b ticks out
-				handles = append(handles, s.PostAfter(units.Duration(b), a, int32(b), nil))
+			case 1: // schedule a typed event b ticks out, or (odd b) put a
+				// packet on the delay line b ticks out, kept FIFO
+				if b%2 == 0 {
+					handles = append(handles, s.PostAfter(units.Duration(b), a, int32(b), nil))
+				} else {
+					at := s.Now().Add(units.Duration(b))
+					if at < tail {
+						at = tail
+					}
+					line.Push(at, nil)
+					tail = at
+				}
 			case 2: // cancel an arbitrary handle (live, fired, or recycled)
 				if len(handles) > 0 {
 					s.Cancel(handles[int(b)%len(handles)])
@@ -109,6 +121,9 @@ func FuzzSchedulerInvariants(f *testing.F) {
 		s.Run(s.Now() + 1000)
 		if err := s.VerifyInvariants(); err != nil {
 			t.Fatal(err)
+		}
+		if line.Len() != 0 {
+			t.Fatalf("%d packets left on the delay line after draining", line.Len())
 		}
 		if aud.Count() != 0 {
 			t.Fatalf("audit violations: %v", aud.Err())

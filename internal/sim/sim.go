@@ -1,12 +1,14 @@
 // Package sim implements the discrete-event simulation kernel that drives
-// everything else: a clock, a pending-event priority queue, and
-// cancellable timers.
+// everything else: a clock, a pending-event priority queue, cancellable
+// timers, and FIFO delay lines for propagating packets.
 //
 // The kernel is deliberately single-threaded. Determinism matters more for
 // a reproduction study than parallel speed: two runs with the same seed
 // must schedule, drop and acknowledge exactly the same packets. Events at
 // the same instant fire in the order they were scheduled (stable FIFO
-// tie-break by sequence number).
+// tie-break by sequence number). Sweeps get their multi-core throughput
+// from running independent simulations side by side, not from splitting
+// one.
 //
 // # Throughput design
 //
@@ -27,6 +29,21 @@
 //     so steady-state simulation allocates nothing per event. The
 //     closure-based At/After remain for cold paths (experiment setup,
 //     sampling) where convenience beats the one closure allocation.
+//   - Packets in propagation do not sit in the heap. A link with a fixed
+//     delay delivers in FIFO order, so each such link owns a DelayLine: a
+//     power-of-two ring of (time, seq, payload) whose head alone is a heap
+//     event. Push draws the sequence number at the moment the packet
+//     enters the wire — exactly when a per-packet event would have drawn
+//     it — and the head is re-posted under that original number, so pops
+//     follow the identical (time, seq) total order and every result is
+//     bit-identical to scheduling one event per packet. Each delivery
+//     still fires as one kernel event (Processed counts it), but the heap
+//     holds one entry per busy wire instead of one per packet.
+//
+// Heap depth (Pending, MaxPending, the sim.heap_depth gauges) therefore
+// counts timers, transmissions in progress and one head per non-empty
+// delay line — not every propagating packet. Links report their own
+// in-flight counts (link.Instrument's in_flight gauges).
 package sim
 
 import (
@@ -53,48 +70,25 @@ type Actor interface {
 // detected by generation counter, so Cancel and Active on it are safe.
 // The zero Event is a valid "no event" handle.
 type Event struct {
-	id  int32  // arena<<arenaShift | slot index + 1; 0 is the zero handle
+	id  int32  // slot index + 1; 0 is the zero handle
 	gen uint32 // slot generation this handle was issued for
 }
 
-// Handle encoding. The low 24 bits carry the slot index + 1 within an
-// arena; the bits above select the arena. Arena 0 is the scheduler's own
-// pool, so for an unsharded scheduler every handle keeps the historical
-// slot+1 form. Arena k+1 is shard k's local pool when sharding is enabled
-// (see shard.go). The 24-bit index bounds a sharded run to ~16.7M live
-// slots per arena; allocSlot panics past that rather than aliasing.
-const (
-	arenaShift = 24
-	idxMask    = 1<<arenaShift - 1
-)
+// posFree is slot.pos for a slot on the free list; a pending slot's pos
+// is its heap index.
+const posFree int32 = -1
 
-func handleFor(arena, idx int32) int32 { return arena<<arenaShift | (idx + 1) }
-func handleArena(id int32) int32       { return id >> arenaShift }
-func handleIdx(id int32) int32         { return id&idxMask - 1 }
-
-// slot.pos sentinels. Non-negative pos is the heap index while pending.
-// During a parallel window a slot seeded into a shard's local heap stores
-// posSeedBase-localIndex (always <= posSeedBase), so the owning shard can
-// remove it on cancel; posSeedFired / posSeedCancelled record how the
-// seed left the window until the barrier recycles it.
-const (
-	posFree          int32 = -1
-	posSeedFired     int32 = -2
-	posSeedCancelled int32 = -3
-	posSeedBase      int32 = -10
-)
-
-// slot is the pooled storage behind one scheduled event.
+// slot is the pooled storage behind one scheduled event. An event
+// fires line's head delivery if line is set, else actor.OnEvent(op, arg)
+// if actor is set, else fn.
 type slot struct {
-	gen     uint32 // incremented on every recycle; stale handles mismatch
-	pos     int32  // index in the heap while pending, else a sentinel above
-	op      int32
-	shard   int32 // event class: owning shard, or globalClass (sequential)
-	backRef int32 // shard-local shell forwarded onto this slot (0 = none)
-	defc    bool  // cancelled mid-window; the barrier applies the removal
-	actor   Actor
-	arg     any
-	fn      func()
+	gen   uint32 // incremented on every recycle; stale handles mismatch
+	pos   int32  // index in the heap while pending, else posFree
+	op    int32
+	actor Actor
+	arg   any
+	fn    func()
+	line  *DelayLine
 }
 
 // entry is one pending-queue element. The ordering key (time, then
@@ -126,15 +120,6 @@ type Scheduler struct {
 	stopped    bool
 	aud        *audit.Auditor
 
-	// eng is non-nil once EnableShards has attached the parallel-window
-	// engine (shard.go). viewShard distinguishes the base scheduler
-	// (globalClass) from the per-shard views the engine issues; a view
-	// owns no heap of its own, it only routes through eng. Every public
-	// method guards the engine path behind one nil test, so the
-	// unsharded hot path is unchanged.
-	eng       *shardEngine
-	viewShard int32
-
 	// Processed counts the events executed so far; useful for
 	// benchmarking the kernel itself.
 	Processed uint64
@@ -145,36 +130,25 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{}
 }
 
-// Now returns the current simulated time: the base clock, or the owning
-// shard's local clock while a parallel window is executing.
-func (s *Scheduler) Now() units.Time {
-	if s.eng != nil {
-		return s.eng.nowFor(s.viewShard)
-	}
-	return s.now
-}
+// Now returns the current simulated time.
+func (s *Scheduler) Now() units.Time { return s.now }
 
 // SetAuditor attaches an invariant checker to the kernel: every fired
-// event is checked for clock monotonicity (per-shard plus merge-point
-// monotonicity when sharding is on) and slot/heap cross-link
+// event is checked for clock monotonicity and slot/heap cross-link
 // consistency. A nil auditor (the default) disables the checks.
-func (s *Scheduler) SetAuditor(a *audit.Auditor) { s.root().aud = a }
+func (s *Scheduler) SetAuditor(a *audit.Auditor) { s.aud = a }
 
-// Pending returns the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return len(s.root().heap) }
+// Pending returns the number of events waiting in the heap. A delay line
+// contributes only its head, however many packets it carries.
+func (s *Scheduler) Pending() int { return len(s.heap) }
 
-// MaxPending returns the deepest the event heap has been. Under sharding
-// this is an approximation (per-shard peaks plus the base backlog), not
-// a globally-consistent snapshot.
-func (s *Scheduler) MaxPending() int { return s.root().maxPending }
+// MaxPending returns the deepest the event heap has been (see Pending).
+func (s *Scheduler) MaxPending() int { return s.maxPending }
 
 // Active reports whether e refers to an event that is still pending: not
 // yet fired, not cancelled, and not a recycled slot now owned by some
 // later event. The zero Event is never active.
 func (s *Scheduler) Active(e Event) bool {
-	if s.eng != nil {
-		return s.eng.active(e)
-	}
 	if e.id == 0 {
 		return false
 	}
@@ -185,9 +159,6 @@ func (s *Scheduler) Active(e Event) bool {
 // EventTime returns the instant a pending event is scheduled to fire, and
 // whether the handle is still active.
 func (s *Scheduler) EventTime(e Event) (units.Time, bool) {
-	if s.eng != nil {
-		return s.eng.eventTime(e)
-	}
 	if !s.Active(e) {
 		return 0, false
 	}
@@ -201,16 +172,13 @@ func (s *Scheduler) allocSlot() int32 {
 		s.free = s.free[:n-1]
 		return id
 	}
-	if s.eng != nil && len(s.slots) > idxMask-1 {
-		panic("sim: sharded scheduler exhausted its 24-bit slot index space")
-	}
 	s.slots = append(s.slots, slot{})
 	return int32(len(s.slots) - 1)
 }
 
 // release recycles a slot: the generation bump invalidates every
 // outstanding handle, and clearing the references lets fired payloads be
-// collected. A shard-local shell forwarded onto this slot dies with it.
+// collected.
 func (s *Scheduler) release(id int32) {
 	sl := &s.slots[id]
 	sl.gen++
@@ -218,51 +186,41 @@ func (s *Scheduler) release(id int32) {
 	sl.actor = nil
 	sl.arg = nil
 	sl.fn = nil
-	sl.defc = false
-	if sl.backRef != 0 {
-		s.eng.releaseShell(sl.backRef)
-		sl.backRef = 0
-	}
+	sl.line = nil
 	s.free = append(s.free, id)
 }
 
-// schedule is the shared path behind At/After/PostAt/PostAfter.
-// Scheduling in the past panics: it always indicates a logic error in a
-// component, and silently reordering time would corrupt every downstream
-// measurement.
+// schedule is the shared path behind At/After/PostAt/PostAfter: it
+// draws the next sequence number and inserts the event. Scheduling in
+// the past panics: it always indicates a logic error in a component, and
+// silently reordering time would corrupt every downstream measurement.
 func (s *Scheduler) schedule(t units.Time, fn func(), a Actor, op int32, arg any) Event {
-	if s.eng != nil {
-		return s.eng.scheduleFrom(s.viewShard, t, fn, a, op, arg, s.viewShard)
-	}
-	return s.scheduleBase(t, fn, a, op, arg, globalClass)
-}
-
-// scheduleBase inserts into the base heap with the next global sequence
-// number, stamping the slot with its event class. It runs only in
-// sequential contexts (unsharded runs, setup code between Run calls, and
-// the engine's sequential cohorts) — never inside a parallel window.
-func (s *Scheduler) scheduleBase(t units.Time, fn func(), a Actor, op int32, arg any, shard int32) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	id := s.allocSlot()
+	id := s.insert(t, s.seq)
+	s.seq++
 	sl := &s.slots[id]
 	sl.fn = fn
 	sl.actor = a
 	sl.op = op
 	sl.arg = arg
-	sl.shard = shard
+	return Event{id: id + 1, gen: sl.gen}
+}
+
+// insert puts an entry for a fresh slot into the heap under an already
+// drawn sequence number and returns the slot for the caller to fill.
+// Delay lines use it to post their head under the number reserved when
+// the packet entered the wire.
+func (s *Scheduler) insert(t units.Time, seq uint64) int32 {
+	id := s.allocSlot()
 	i := len(s.heap)
-	s.heap = append(s.heap, entry{at: t, seq: s.seq, slot: id})
-	s.seq++
+	s.heap = append(s.heap, entry{at: t, seq: seq, slot: id})
 	s.siftUp(i)
 	if len(s.heap) > s.maxPending {
 		s.maxPending = len(s.heap)
 	}
-	if shard == globalClass && s.eng != nil {
-		s.eng.noteGlobal(t, id, sl.gen)
-	}
-	return Event{id: id + 1, gen: sl.gen}
+	return id
 }
 
 // At schedules fn to run at the absolute time t.
@@ -275,7 +233,7 @@ func (s *Scheduler) After(d units.Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.schedule(s.Now().Add(d), fn, nil, 0, nil)
+	return s.schedule(s.now.Add(d), fn, nil, 0, nil)
 }
 
 // PostAt schedules a typed event: at time t the kernel calls
@@ -290,7 +248,7 @@ func (s *Scheduler) PostAfter(d units.Duration, a Actor, op int32, arg any) Even
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.schedule(s.Now().Add(d), nil, a, op, arg)
+	return s.schedule(s.now.Add(d), nil, a, op, arg)
 }
 
 // Cancel removes a pending event. Cancelling the zero handle, an event
@@ -298,25 +256,11 @@ func (s *Scheduler) PostAfter(d units.Duration, a Actor, op int32, arg any) Even
 // been recycled by a later event is a no-op, so callers can cancel
 // unconditionally.
 func (s *Scheduler) Cancel(e Event) {
-	if s.eng != nil {
-		s.eng.cancel(s.viewShard, e)
+	if !s.Active(e) {
 		return
 	}
-	if e.id == 0 {
-		return
-	}
-	s.cancelBase(e.id-1, e.gen)
-}
-
-// cancelBase removes a pending arena-0 event by slot index if the handle
-// generation still matches. It is the legacy cancel body, shared with the
-// engine's barrier (which resolves forwarded handles down to base slots).
-func (s *Scheduler) cancelBase(id int32, gen uint32) {
-	sl := &s.slots[id]
-	if sl.gen != gen || sl.pos < 0 {
-		return
-	}
-	s.removeAt(int(sl.pos))
+	id := e.id - 1
+	s.removeAt(int(s.slots[id].pos))
 	s.release(id)
 }
 
@@ -409,7 +353,9 @@ func (s *Scheduler) popRoot() entry {
 
 // fire pops the earliest event, advances the clock and dispatches it. The
 // slot is recycled before dispatch, so the handler is free to schedule
-// (possibly reusing the very slot that just fired).
+// (possibly reusing the very slot that just fired). A delay line's head
+// is handed to the line, which pops it or reuses its root entry and slot
+// for the next payload.
 func (s *Scheduler) fire() {
 	top := s.heap[0]
 	if s.aud != nil {
@@ -422,12 +368,16 @@ func (s *Scheduler) fire() {
 				"heap root references slot %d with pos %d (stale or recycled slot about to fire)", top.slot, sl.pos)
 		}
 	}
+	s.now = top.at
+	s.Processed++
+	if d := s.slots[top.slot].line; d != nil {
+		d.fireHead(top.slot)
+		return
+	}
 	s.popRoot()
 	sl := &s.slots[top.slot]
 	fn, actor, op, arg := sl.fn, sl.actor, sl.op, sl.arg
 	s.release(top.slot)
-	s.now = top.at
-	s.Processed++
 	if actor != nil {
 		actor.OnEvent(op, arg)
 	} else {
@@ -443,41 +393,25 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	r := s.root()
 	events := reg.Counter("sim.events_processed")
 	depth := reg.Gauge("sim.heap_depth")
 	depthMax := reg.Gauge("sim.heap_depth_max")
 	clock := reg.Gauge("sim.time_seconds")
 	reg.OnCollect(func() {
-		events.Set(int64(r.Processed))
-		depth.Set(float64(len(r.heap)))
-		depthMax.Set(float64(r.maxPending))
-		clock.Set(r.now.Seconds())
+		events.Set(int64(s.Processed))
+		depth.Set(float64(len(s.heap)))
+		depthMax.Set(float64(s.maxPending))
+		clock.Set(s.now.Seconds())
 	})
 }
 
 // Stop makes Run return after the event currently executing completes.
-// Under sharding the granularity is one window: the current window
-// finishes and merges before Run returns.
-func (s *Scheduler) Stop() {
-	if s.eng != nil {
-		s.eng.base.stopped = true
-		return
-	}
-	s.stopped = true
-}
+func (s *Scheduler) Stop() { s.stopped = true }
 
 // Run executes events in order until the clock would pass `until`, no
 // events remain, or Stop is called. The clock is left at `until` (or at
 // the last event time if the queue drained first and that is earlier).
 func (s *Scheduler) Run(until units.Time) {
-	if s.eng != nil {
-		if s.viewShard != globalClass {
-			panic("sim: Run called on a shard view")
-		}
-		s.eng.run(until)
-		return
-	}
 	s.stopped = false
 	for len(s.heap) > 0 && !s.stopped {
 		if s.heap[0].at > until {
@@ -491,12 +425,8 @@ func (s *Scheduler) Run(until units.Time) {
 }
 
 // Step executes exactly one event if any is pending and returns whether an
-// event was executed. Useful in tests. Not available under sharding,
-// where execution advances a window at a time.
+// event was executed. Useful in tests.
 func (s *Scheduler) Step() bool {
-	if s.eng != nil {
-		panic("sim: Step is not available on a sharded scheduler")
-	}
 	if len(s.heap) == 0 {
 		return false
 	}
@@ -545,15 +475,12 @@ func (s *Scheduler) VerifyInvariants() error {
 		if _, pending := inHeap[id]; pending {
 			return fmt.Errorf("sim: slot %d is both pending and free", id)
 		}
-		if got := s.slots[id].pos; got != -1 {
+		if got := s.slots[id].pos; got != posFree {
 			return fmt.Errorf("sim: free slot %d records pos %d", id, got)
 		}
 	}
 	if len(s.heap)+len(s.free) != len(s.slots) {
 		return fmt.Errorf("sim: %d pending + %d free != %d slots", len(s.heap), len(s.free), len(s.slots))
-	}
-	if s.eng != nil {
-		return s.eng.verify()
 	}
 	return nil
 }

@@ -10,14 +10,11 @@ import "bufsim/internal/units"
 // between cache-line streaming and pointer chasing when the event
 // kernel sweeps large flow populations.
 //
-// A slab is single-shard state: every sender in it must live on the
-// same event shard (or on the sequential kernel). Rows are appended by
-// NewSenderSlab and never freed — a finished flow's row simply goes
-// cold, matching the topology's own append-only flow bookkeeping.
-// Appending may reallocate the columns, so rows must not be added while
-// another shard could be reading the slab; the topology only adds flows
-// from the slab's own shard or from barrier-synchronized (exclusive)
-// events, which provides that ordering.
+// Rows are appended by NewSenderSlab and never freed — a finished
+// flow's row simply goes cold, matching the topology's own append-only
+// flow bookkeeping. Appending may reallocate the columns, so no pointer
+// or subslice into a column may be held across a row addition (the
+// slabescape analyzer enforces this).
 //
 // The classic congestion controllers store their window state in the
 // cwnd and ssthresh columns (see aimd); the modern controllers (CUBIC,

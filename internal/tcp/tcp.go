@@ -184,16 +184,14 @@ func (s *Sender) OnEvent(op int32, _ any) {
 }
 
 // NewSender returns a sender writing packets to out, with its state in
-// a private single-row slab. Callers wiring many flows should allocate
-// one Slab per shard and use NewSenderSlab so the per-flow state packs
-// densely.
+// a private single-row slab. Callers wiring many flows should share one
+// Slab and use NewSenderSlab so the per-flow state packs densely.
 func NewSender(cfg Config, sched *sim.Scheduler, out packet.Handler) *Sender {
 	return NewSenderSlab(NewSlab(1), cfg, sched, out)
 }
 
 // NewSenderSlab returns a sender writing packets to out, appending its
-// per-flow state as a new row of sl. All senders sharing a slab must
-// live on the same event shard (see Slab).
+// per-flow state as a new row of sl (see Slab).
 func NewSenderSlab(sl *Slab, cfg Config, sched *sim.Scheduler, out packet.Handler) *Sender {
 	cfg = cfg.withDefaults()
 	s := &Sender{

@@ -63,28 +63,6 @@ type Config struct {
 	// invariant violations into it. Auditing only observes — the same seed
 	// produces identical results with or without it.
 	Auditor *audit.Auditor
-
-	// Shards requests parallel execution. The dumbbell is cut at its
-	// natural topology boundary: shard 0 owns R1, the bottleneck link and
-	// its queue; the stations (hosts, access and reverse links, TCP
-	// endpoints) are spread round-robin over the remaining shards. The
-	// scheduler then runs conservative parallel windows bounded by the
-	// smallest cross-shard propagation delay (min over stations of
-	// RTT/2 - BottleneckDelay, and BottleneckDelay itself). Results are
-	// bit-identical to an unsharded run at every shard count — that is
-	// the kernel's contract, enforced by the sharded digest harness.
-	//
-	// 0 or 1 disables sharding. The count is silently capped at
-	// Stations+1 (one shard per station plus the bottleneck) and
-	// sim.MaxShards, and sharding is silently disabled when the topology
-	// has no positive lookahead (RTTMin/2 == BottleneckDelay would leave
-	// a zero-delay cross-shard hop).
-	Shards int
-
-	// home, when non-nil, pins every component of this dumbbell onto one
-	// shard of an externally sharded scheduler instead of sharding the
-	// dumbbell internally (see Fabric). Mutually exclusive with Shards.
-	home *int
 }
 
 func (c Config) validate() Config {
@@ -122,16 +100,7 @@ type Station struct {
 	receiverHost *node.Host
 	access       *link.Link
 	reverse      *link.Link
-	sched        *sim.Scheduler
 }
-
-// Sched returns the scheduler view owning the station's components.
-// Workload generators must schedule station-side work — flow starts,
-// teardown timers, completion follow-ups — through it, so the event is
-// classified to the station's shard and can fire inside a parallel
-// window. On an unsharded dumbbell it is the base scheduler, so callers
-// can use it unconditionally.
-func (st *Station) Sched() *sim.Scheduler { return st.sched }
 
 // Flow is a TCP connection wired across the dumbbell.
 type Flow struct {
@@ -164,37 +133,15 @@ type Dumbbell struct {
 	nextNode packet.NodeID
 	nextFlow packet.FlowID
 
-	// Sharding plan (see Config.Shards). shards is the effective count
-	// (1 when sharding is off); view0 is the scheduler view owning the
-	// bottleneck side; r1In is the shard-0 ingress the access links
-	// deliver into; ingress maps each receiver host to the station-shard
-	// ingress the bottleneck delivers into.
-	sharded bool
-	shards  int
-	view0   *sim.Scheduler
-	r1In    sim.Target
-	ingress map[packet.NodeID]sim.Target
-
-	// slabs holds one TCP state slab per scheduler view, so every
-	// sender's hot state lives in the dense arrays of the shard that
-	// owns it (see tcp.Slab). Unsharded, all flows share one slab.
-	slabs map[*sim.Scheduler]*tcp.Slab
+	// slab holds every sender's hot state in dense columns (see
+	// tcp.Slab).
+	slab *tcp.Slab
 }
-
-// ingressActor fires a cross-shard packet arrival inside the shard that
-// owns the next hop: the far end of a link's wire in a sharded dumbbell.
-// It is the merge point of the topology cut — the only way packet flow
-// crosses shards — so all component state stays shard-owned.
-type ingressActor struct{ next packet.Handler }
-
-// OnEvent implements sim.Actor; the opcode is the link's opArrive.
-func (in *ingressActor) OnEvent(_ int32, arg any) { in.next.Handle(arg.(*packet.Packet)) }
 
 // NewDumbbell builds the topology.
 func NewDumbbell(cfg Config) *Dumbbell {
 	cfg = cfg.validate()
-	d := &Dumbbell{cfg: cfg, nextNode: 1, nextFlow: 1, shards: 1}
-	d.planShards()
+	d := &Dumbbell{cfg: cfg, nextNode: 1, nextFlow: 1, slab: tcp.NewSlab(16)}
 	d.R1 = node.NewRouter(d.allocNode(), "R1")
 	d.R2 = node.NewRouter(d.allocNode(), "R2")
 
@@ -210,73 +157,14 @@ func NewDumbbell(cfg Config) *Dumbbell {
 		cfg.Sched.SetAuditor(cfg.Auditor)
 		q = queue.NewAudited(q, cfg.Auditor, "bottleneck")
 	}
-	d.Bottleneck = link.New("bottleneck", d.view0, cfg.BottleneckRate, cfg.BottleneckDelay, q, d.R2)
+	d.Bottleneck = link.New("bottleneck", cfg.Sched, cfg.BottleneckRate, cfg.BottleneckDelay, q, d.R2)
 	d.Bottleneck.SetAuditor(cfg.Auditor)
-	if d.sharded {
-		d.r1In = d.view0.TargetFor(&ingressActor{next: d.R1})
-		d.ingress = make(map[packet.NodeID]sim.Target)
-		d.Bottleneck.DeliverVia = func(p *packet.Packet) sim.Target { return d.ingress[p.Dst] }
-	}
 
 	for i := 0; i < cfg.Stations; i++ {
 		d.stations = append(d.stations, d.buildStation(i))
 	}
 	return d
 }
-
-// planShards decides the effective shard layout (see Config.Shards) and
-// enables the kernel's parallel-window engine when it applies. It draws
-// no randomness, so a sharded and an unsharded build consume the
-// config RNG identically.
-func (d *Dumbbell) planShards() {
-	cfg := d.cfg
-	if cfg.home != nil {
-		if cfg.Shards > 1 {
-			panic("topology: Config.Shards and fabric placement are mutually exclusive")
-		}
-		d.view0 = cfg.Sched.ShardView(*cfg.home)
-		return
-	}
-	d.view0 = cfg.Sched
-	n := cfg.Shards
-	if n > cfg.Stations+1 {
-		n = cfg.Stations + 1
-	}
-	if n > sim.MaxShards {
-		n = sim.MaxShards
-	}
-	if n < 2 || d.lookahead() <= 0 {
-		return
-	}
-	cfg.Sched.EnableShards(n, d.lookahead())
-	d.sharded = true
-	d.shards = n
-	d.view0 = cfg.Sched.ShardView(0)
-}
-
-// lookahead is the smallest cross-shard propagation delay: the access
-// links' forward delay is at least RTTMin/2 - BottleneckDelay, and the
-// bottleneck contributes its own delay on the return cut.
-func (d *Dumbbell) lookahead() units.Duration {
-	look := d.cfg.RTTMin/2 - d.cfg.BottleneckDelay
-	if d.cfg.BottleneckDelay < look {
-		look = d.cfg.BottleneckDelay
-	}
-	return look
-}
-
-// viewFor returns the scheduler view owning station i's components:
-// stations round-robin over shards 1..shards-1 (shard 0 is the
-// bottleneck's), or the base scheduler when sharding is off.
-func (d *Dumbbell) viewFor(i int) *sim.Scheduler {
-	if !d.sharded {
-		return d.view0
-	}
-	return d.cfg.Sched.ShardView(1 + i%(d.shards-1))
-}
-
-// Shards reports the effective shard count (1 when sharding is off).
-func (d *Dumbbell) Shards() int { return d.shards }
 
 func (d *Dumbbell) allocNode() packet.NodeID {
 	id := d.nextNode
@@ -290,7 +178,7 @@ func (d *Dumbbell) buildStation(i int) *Station {
 	if cfg.RTTMax > cfg.RTTMin {
 		rtt = units.Duration(cfg.RNG.Uniform(float64(cfg.RTTMin), float64(cfg.RTTMax)))
 	}
-	st := &Station{Index: i, RTT: rtt, sched: d.viewFor(i)}
+	st := &Station{Index: i, RTT: rtt}
 	st.senderHost = node.NewHost(d.allocNode(), fmt.Sprintf("s%d", i))
 	st.receiverHost = node.NewHost(d.allocNode(), fmt.Sprintf("d%d", i))
 
@@ -301,21 +189,12 @@ func (d *Dumbbell) buildStation(i int) *Station {
 	fwdDelay := units.Duration(rtt/2) - cfg.BottleneckDelay
 	revDelay := units.Duration(rtt / 2)
 
-	st.access = link.New(fmt.Sprintf("access%d", i), st.sched, cfg.AccessRate,
+	st.access = link.New(fmt.Sprintf("access%d", i), cfg.Sched, cfg.AccessRate,
 		fwdDelay, queue.NewDropTail(queue.Unlimited()), d.R1)
-	st.reverse = link.New(fmt.Sprintf("reverse%d", i), st.sched, cfg.AccessRate,
+	st.reverse = link.New(fmt.Sprintf("reverse%d", i), cfg.Sched, cfg.AccessRate,
 		revDelay, queue.NewDropTail(queue.Unlimited()), st.senderHost)
 	st.access.SetAuditor(cfg.Auditor)
 	st.reverse.SetAuditor(cfg.Auditor)
-	if d.sharded {
-		// The station's two cross-shard wires: data packets leaving the
-		// access link arrive at R1 in shard 0; packets leaving the
-		// bottleneck for this station's receiver arrive at R2's routing
-		// step in the station's shard. Both hops have delay >= the
-		// lookahead by construction.
-		st.access.DeliverVia = func(*packet.Packet) sim.Target { return d.r1In }
-		d.ingress[st.receiverHost.ID()] = st.sched.TargetFor(&ingressActor{next: d.R2})
-	}
 
 	d.R1.AddRoute(st.receiverHost.ID(), d.Bottleneck)
 	d.R2.AddRoute(st.receiverHost.ID(), st.receiverHost)
@@ -344,8 +223,8 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 	spec.Src = st.senderHost.ID()
 	spec.Dst = st.receiverHost.ID()
 
-	snd := tcp.NewSenderSlab(d.slabFor(st.sched), spec, st.sched, st.access)
-	rcv := tcp.NewReceiver(spec, st.sched, st.reverse)
+	snd := tcp.NewSenderSlab(d.slab, spec, d.cfg.Sched, st.access)
+	rcv := tcp.NewReceiver(spec, d.cfg.Sched, st.reverse)
 	if d.cfg.Auditor != nil {
 		snd.SetAuditor(d.cfg.Auditor)
 		rcv.SetAuditor(d.cfg.Auditor)
@@ -359,23 +238,6 @@ func (d *Dumbbell) AddFlow(st *Station, spec tcp.Config) *Flow {
 		d.OnAddFlow(f)
 	}
 	return f
-}
-
-// slabFor returns the TCP state slab owned by scheduler view (one per
-// shard), creating it on first use. Dynamic workloads add flows either
-// from the station shard itself or from barrier-synchronized generator
-// events, so slab growth never races a parallel window on another
-// shard — the ordering tcp.Slab requires.
-func (d *Dumbbell) slabFor(view *sim.Scheduler) *tcp.Slab {
-	if d.slabs == nil {
-		d.slabs = make(map[*sim.Scheduler]*tcp.Slab)
-	}
-	sl, ok := d.slabs[view]
-	if !ok {
-		sl = tcp.NewSlab(16)
-		d.slabs[view] = sl
-	}
-	return sl
 }
 
 // RawFlow is an allocation of addressing for a non-TCP flow (e.g. CBR/UDP

@@ -188,11 +188,8 @@ func (e *engine) launch() {
 		rec.Completed = now
 		e.active--
 		// Defer the detach so the final ACK still reaches the sender
-		// (the sender needs it to cancel its RTO and finish). The post
-		// goes through the station's view: completion fires in the
-		// station's shard, where a base-scheduler post would be illegal
-		// inside a parallel window.
-		f.Station.Sched().PostAfter(f.Station.RTT, e, opDetach, f)
+		// (the sender needs it to cancel its RTO and finish).
+		e.sched.PostAfter(f.Station.RTT, e, opDetach, f)
 	}
 	f.Sender.Start()
 }

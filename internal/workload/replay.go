@@ -134,9 +134,7 @@ func (r *replayRun) OnEvent(op int32, arg any) {
 		f.Receiver.OnComplete = func(now units.Time) {
 			rf.rec.Completed = now
 			r.active--
-			// Via the station's view: completion fires in the station's
-			// shard (see ShortFlows.launch).
-			f.Station.Sched().PostAfter(f.Station.RTT, r, opReplayRemove, f)
+			r.sched.PostAfter(f.Station.RTT, r, opReplayRemove, f)
 		}
 		f.Sender.Start()
 	case opReplayRemove:

@@ -90,9 +90,7 @@ func (g *Sessions) Start() {
 	for i := 0; i < g.cfg.Sessions; i++ {
 		station := g.cfg.Dumbbell.Station(i % g.cfg.Dumbbell.NumStations())
 		delay := units.DurationFromSeconds(g.cfg.RNG.Exp(g.cfg.MeanThink.Seconds()))
-		// Through the station's view: transfers are station-shard work,
-		// so under sharding they fire inside the station's window.
-		station.Sched().PostAfter(delay, g, opSessionTransfer, station)
+		g.sched.PostAfter(delay, g, opSessionTransfer, station)
 	}
 }
 
@@ -111,10 +109,7 @@ func (g *Sessions) transfer(station *topology.Station) {
 	spec := g.cfg.TCP
 	spec.TotalSegments = g.cfg.Sizes.Sample(g.cfg.RNG)
 	f := d.AddFlow(station, spec)
-	// The station view's clock is correct in every context this can fire
-	// in: a sharded transfer fires inside the station's window, where the
-	// base scheduler's clock still reads the window start.
-	rec := &FlowRecord{Size: spec.TotalSegments, Start: station.Sched().Now(), Completed: units.Never}
+	rec := &FlowRecord{Size: spec.TotalSegments, Start: g.sched.Now(), Completed: units.Never}
 	g.Records = append(g.Records, rec)
 	g.active++
 
@@ -123,11 +118,10 @@ func (g *Sessions) transfer(station *topology.Station) {
 		g.active--
 		g.Transfers++
 		// Give the final ACK time to drain, then recycle the session
-		// after its think pause. Both posts go through the station's
-		// view (see ShortFlows.launch).
-		station.Sched().PostAfter(f.Station.RTT, g, opSessionRemove, f)
+		// after its think pause.
+		g.sched.PostAfter(f.Station.RTT, g, opSessionRemove, f)
 		think := units.DurationFromSeconds(g.cfg.RNG.Exp(g.cfg.MeanThink.Seconds()))
-		station.Sched().PostAfter(think, g, opSessionTransfer, station)
+		g.sched.PostAfter(think, g, opSessionTransfer, station)
 	}
 	f.Sender.Start()
 }

@@ -99,10 +99,7 @@ func StartLongLived(d *topology.Dumbbell, n int, spec tcp.Config, rng *sim.RNG, 
 		if stagger > 0 {
 			at = at.Add(units.Duration(rng.Uniform(0, float64(stagger))))
 		}
-		// Start through the station's view: the start is shard-classified
-		// work, so a sharded run fires it inside the station's window
-		// instead of forcing a global barrier per flow.
-		st.Sched().PostAt(at, f.Sender, tcp.OpStart, nil)
+		sched.PostAt(at, f.Sender, tcp.OpStart, nil)
 	}
 	return flows
 }
@@ -254,11 +251,8 @@ func (g *ShortFlows) launch() {
 		rec.Completed = now
 		g.active--
 		// Defer the detach so the final ACK still reaches the sender
-		// (the sender needs it to cancel its RTO and finish). The post
-		// goes through the station's view: completion fires in the
-		// station's shard, where a base-scheduler post would be illegal
-		// inside a parallel window.
-		f.Station.Sched().PostAfter(f.Station.RTT, g, opDetach, f)
+		// (the sender needs it to cancel its RTO and finish).
+		g.sched.PostAfter(f.Station.RTT, g, opDetach, f)
 	}
 	f.Sender.Start()
 }

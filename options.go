@@ -70,18 +70,9 @@ type options struct {
 	red         *bool
 	metrics     *Registry
 	parallelism *int
-	shards      *int
 	audit       *Auditor
 	cache       *Cache
 	workload    Workload
-}
-
-// shardCount resolves WithShards: zero when unset (sequential kernel).
-func (o options) shardCount() int {
-	if o.shards == nil {
-		return 0
-	}
-	return *o.shards
 }
 
 func applyOptions(opts []Option) options {
@@ -135,23 +126,6 @@ func WithRED(on bool) Option {
 // it — one simulation is always one goroutine.
 func WithParallelism(n int) Option {
 	return func(o *options) { o.parallelism = &n }
-}
-
-// WithShards runs the simulation's event kernel on n parallel shards:
-// the topology is cut at its link boundaries (the bottleneck router on
-// one shard, the stations spread over the rest) and the kernel executes
-// conservative parallel windows bounded by the smallest cross-shard
-// propagation delay. Sharding is pure execution policy — results are
-// bit-identical to the sequential kernel at every shard count (the
-// equivalence is pinned by the sharded digest harness), so like
-// WithParallelism it does not participate in the cache key. Zero or one
-// means the sequential kernel; counts are capped at the topology's
-// station count + 1 and the kernel's shard limit. Scenarios driven by a
-// dynamic flow generator (short flows, mixes, traces, profiles) cap the
-// effective count at two — the generator's bookkeeping serializes the
-// stations onto one shard.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = &n }
 }
 
 // WithWorkload overrides the traffic driving a SimulateProfile run with

@@ -229,7 +229,6 @@ func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
 		Metrics:       o.metrics,
 		Audit:         o.audit,
 		Cache:         o.cache,
-		Shards:        o.shardCount(),
 	}
 	if o.red != nil {
 		run.UseRED = *o.red
