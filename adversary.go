@@ -98,8 +98,7 @@ func SimulateAdversary(cfg AdversarySimulation, opts ...Option) AdversaryResult 
 		BufferPackets:  cfg.BufferPackets,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          o.audit,
-		Cache:          o.cache,
+		Env:            o.env,
 	})
 	return AdversaryResult{
 		BufferPackets:    row.BufferPackets,

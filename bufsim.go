@@ -40,7 +40,6 @@
 //
 //	option                  Simulate  SimulateReplicated  SingleFlow  ShortFlows  Mix  Trace  Profile
 //	WithCongestionControl      yes           yes             yes         yes      yes   yes     yes
-//	WithVariant (alias)        yes           yes             yes         yes      yes   yes     yes
 //	WithPacing                 yes           yes             yes         yes      yes   yes     yes
 //	WithDelayedACK             yes           yes             yes         yes      yes   yes     yes
 //	WithRED                    yes           yes             yes         yes      yes   yes     yes
@@ -65,7 +64,6 @@ package bufsim
 
 import (
 	"fmt"
-	"io"
 
 	"bufsim/internal/experiment"
 	"bufsim/internal/model"
@@ -286,18 +284,7 @@ func mustValidateSpread(rtt Duration, spread Duration) {
 // longLived lowers the public config plus applied options into the
 // internal experiment config shared by Simulate and SimulateReplicated.
 func (s Simulation) longLived(o options) experiment.LongLivedConfig {
-	if o.variant != nil {
-		s.Variant = *o.variant
-	}
-	if o.paced != nil {
-		s.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		s.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		s.RED = *o.red
-	}
+	o.overrideSwitches(&s.Variant, &s.Paced, &s.DelayedAck, &s.RED)
 	mustValidateSpread(s.Link.RTT, s.RTTSpread)
 	return experiment.LongLivedConfig{
 		Seed:           s.Seed,
@@ -313,9 +300,7 @@ func (s Simulation) longLived(o options) experiment.LongLivedConfig {
 		DelayedAck:     s.DelayedAck,
 		Warmup:         s.Warmup,
 		Measure:        s.Measure,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
+		Env:            o.env,
 	}
 }
 
@@ -351,12 +336,7 @@ type ReplicatedResult struct {
 // concurrently; WithParallelism bounds the workers (default: the
 // machine's parallelism). Results are bit-identical at any worker count.
 func SimulateReplicated(cfg Simulation, replicas int, opts ...Option) ReplicatedResult {
-	o := applyOptions(opts)
-	run := cfg.longLived(o)
-	if o.parallelism != nil {
-		run.Parallelism = *o.parallelism
-	}
-	r := experiment.RunLongLivedReplicated(run, replicas)
+	r := experiment.RunLongLivedReplicated(cfg.longLived(applyOptions(opts)), replicas)
 	return ReplicatedResult{
 		Replicas:        r.Replicas,
 		MeanUtilization: r.MeanUtilization,
@@ -391,22 +371,9 @@ func SimulateSingleFlow(link Link, bufferFactor float64, seed int64, opts ...Opt
 		RTT:            link.RTT,
 		SegmentSize:    link.segment(),
 		BufferFactor:   bufferFactor,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
+		Env:            o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.overrideSwitches(&run.Variant, &run.Paced, &run.DelayedAck, &run.UseRED)
 	r := experiment.RunSingleFlow(run)
 	return SingleFlowResult{
 		BDPPackets:    r.BDPPackets,
@@ -461,22 +428,9 @@ func SimulateShortFlows(cfg ShortFlowSimulation, opts ...Option) ShortFlowResult
 		UseRED:        cfg.RED,
 		Warmup:        cfg.Warmup,
 		Measure:       cfg.Measure,
-		Metrics:       o.metrics,
-		Audit:         o.audit,
-		Cache:         o.cache,
+		Env:           o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.overrideSwitches(&run.Variant, &run.Paced, &run.DelayedAck, &run.UseRED)
 	afct, completed, censored := experiment.ShortFlowAFCT(run)
 	return ShortFlowResult{AFCT: afct, Completed: completed, Censored: censored}
 }
@@ -541,22 +495,9 @@ func SimulateMix(cfg MixSimulation, opts ...Option) MixResult {
 		UseRED:         cfg.RED,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
+		Env:            o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.overrideSwitches(&run.Variant, &run.Paced, &run.DelayedAck, &run.UseRED)
 	out := experiment.RunMixed(run)
 	return MixResult{
 		AFCT:            out.AFCT,
@@ -569,14 +510,6 @@ func SimulateMix(cfg MixSimulation, opts ...Option) MixResult {
 // TraceFlow is one recorded flow for SimulateTrace: when it starts
 // (relative to the simulation start) and its size in segments.
 type TraceFlow = workload.FlowSpec
-
-// ParseTrace reads a "start_seconds,size_segments" CSV of flows (comments
-// and a header line tolerated), for replay with SimulateTrace. Rows must
-// be ordered by start time; out-of-order rows are an error.
-//
-// Deprecated: use ReadFlows, which additionally accepts JSON flow
-// records.
-func ParseTrace(r io.Reader) ([]TraceFlow, error) { return workload.ParseTrace(r) }
 
 // TraceSimulation configures SimulateTrace: replay recorded flows over a
 // bottleneck with a given buffer.
@@ -624,22 +557,9 @@ func SimulateTrace(cfg TraceSimulation, opts ...Option) TraceResult {
 		MaxWindow:      cfg.MaxWindow,
 		BufferPackets:  cfg.BufferPackets,
 		UseRED:         cfg.RED,
-		Metrics:        o.metrics,
-		Audit:          o.audit,
-		Cache:          o.cache,
+		Env:            o.env,
 	}
-	if o.variant != nil {
-		run.Variant = *o.variant
-	}
-	if o.paced != nil {
-		run.Paced = *o.paced
-	}
-	if o.delayedAck != nil {
-		run.DelayedAck = *o.delayedAck
-	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.overrideSwitches(&run.Variant, &run.Paced, &run.DelayedAck, &run.UseRED)
 	r := experiment.RunTrace(run)
 	return TraceResult{
 		Completed:   r.Completed,

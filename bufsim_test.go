@@ -179,7 +179,7 @@ func TestSimulateTraceReplaysCSV(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	csv := "start_seconds,size_segments\n0.0,14\n0.5,30\n1.0,14\n1.5,8\n"
-	flows, err := ParseTrace(strings.NewReader(csv))
+	flows, err := ReadFlows(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,19 +255,19 @@ func TestOptionsOverrideConfig(t *testing.T) {
 		RTTSpread: 40 * Millisecond, Warmup: 5 * Second, Measure: 10 * Second,
 	}
 	// An option must win over the config field: Simulate(cfg with
-	// Variant=Sack) == Simulate(cfg, WithVariant(Sack)).
+	// Variant=Sack) == Simulate(cfg, WithCongestionControl(Sack)).
 	viaField := cfg
 	viaField.Variant = Sack
 	viaField.Paced = true
 	a := Simulate(viaField)
-	b := Simulate(cfg, WithVariant(Sack), WithPacing(true))
+	b := Simulate(cfg, WithCongestionControl(Sack), WithPacing(true))
 	if a != b {
 		t.Errorf("option path diverges from config path:\nfield  %+v\noption %+v", a, b)
 	}
 	// And a different variant must actually change the run.
-	c := Simulate(cfg, WithVariant(Tahoe), WithPacing(true))
+	c := Simulate(cfg, WithCongestionControl(Tahoe), WithPacing(true))
 	if b == c {
-		t.Error("WithVariant had no effect")
+		t.Error("WithCongestionControl had no effect")
 	}
 }
 

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,10 +57,13 @@ func main() {
 	)
 	flag.Parse()
 
+	if *skipSim && *metrics != "" {
+		log.Fatal("-metrics needs a simulation to observe; it cannot be combined with -no-sim")
+	}
 	if *resume || *verify {
 		*cacheOn = true
 	}
-	var cache *bufsim.Cache
+	obs := observers{metricsPath: *metrics, audit: *auditOn}
 	if *cacheOn {
 		c, err := bufsim.OpenCache(*cacheDir)
 		if err != nil {
@@ -68,7 +72,7 @@ func main() {
 		if *verify {
 			c.SetVerifySample(0.25)
 		}
-		cache = c
+		obs.cache = c
 	}
 
 	if *cpuprof != "" {
@@ -89,7 +93,9 @@ func main() {
 			log.Fatal(err)
 		}
 		printRules(link, sim.Flows, sim.BufferPackets)
-		runAndPrint(link, sim, *skipSim, *metrics, *auditOn, cache)
+		if err := runLongLived(sim, *skipSim, obs); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -135,33 +141,34 @@ func main() {
 		if *wlArg != "" {
 			log.Fatal("-adversary and -workload are mutually exclusive")
 		}
-		runAdversaryAndPrint(*advArg, bufsim.AdversarySimulation{
+		err = runAdversary(*advArg, bufsim.AdversarySimulation{
 			Seed: *seed, Link: link, Flows: *flows, BufferPackets: b,
 			Warmup: warmup, Measure: measure,
-		}, *skipSim, *metrics, *auditOn, cache)
-		return
-	}
-	if *wlArg != "" {
-		runProfileAndPrint(profileScenario{
+		}, *skipSim, obs)
+	} else if *wlArg != "" {
+		err = runProfile(profileScenario{
 			arg: *wlArg, load: *wlLoad, flowLen: *wlFlowLen,
 			link: link, buffer: b, peakFlows: *flows,
 			seed: *seed, warmup: warmup, measure: measure,
 			red: *red, variant: v, paced: *paced,
-		}, *skipSim, *metrics, *auditOn, cache)
-		return
+		}, *skipSim, obs)
+	} else {
+		err = runLongLived(bufsim.Simulation{
+			Seed:          *seed,
+			Link:          link,
+			Flows:         *flows,
+			BufferPackets: b,
+			RTTSpread:     spread,
+			Warmup:        warmup,
+			Measure:       measure,
+			RED:           *red,
+			Variant:       v,
+			Paced:         *paced,
+		}, *skipSim, obs)
 	}
-	runAndPrint(link, bufsim.Simulation{
-		Seed:          *seed,
-		Link:          link,
-		Flows:         *flows,
-		BufferPackets: b,
-		RTTSpread:     spread,
-		Warmup:        warmup,
-		Measure:       measure,
-		RED:           *red,
-		Variant:       v,
-		Paced:         *paced,
-	}, *skipSim, *metrics, *auditOn, cache)
+	if err != nil {
+		log.Fatal(err)
+	}
 }
 
 // printRules shows the sizing rules and hardware verdict for the chosen
@@ -182,124 +189,126 @@ func printRules(link bufsim.Link, flows, buffer int) {
 	fmt.Printf("model predicts:  %.2f%% utilization\n", 100*link.PredictUtilization(flows, buffer))
 }
 
-// runAndPrint runs the simulation (unless skipped) and reports. When
-// metricsPath is non-empty the run's telemetry registry is dumped there
-// as JSON. When auditOn is set the run executes under the
-// conservation-law checker and any violation is fatal. When cache is
-// non-nil the result is memoized there.
-func runAndPrint(link bufsim.Link, cfg bufsim.Simulation, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache) {
-	if skip {
-		return
-	}
+// observers is the telemetry, audit and cache plumbing the command
+// attaches to whichever scenario it runs.
+type observers struct {
+	metricsPath string // -metrics: dump the run's registry here
+	audit       bool   // -audit: any invariant violation is an error
+	cache       *bufsim.Cache
+}
+
+// run builds the options the observers ask for, runs one scenario
+// through simulate (which prints the scenario's own results), and then
+// reports telemetry, audit and cache outcomes. It returns an error for an
+// unwritable -metrics file, an audit violation or a cache-verify
+// mismatch.
+func (o observers) run(simulate func(opts ...bufsim.Option)) error {
 	var opts []bufsim.Option
 	var reg *bufsim.Registry
-	if metricsPath != "" {
+	if o.metricsPath != "" {
 		reg = bufsim.NewRegistry()
 		opts = append(opts, bufsim.WithMetrics(reg))
 	}
 	var aud *bufsim.Auditor
-	if auditOn {
+	if o.audit {
 		aud = bufsim.NewAuditor()
 		opts = append(opts, bufsim.WithAudit(aud))
 	}
-	if cache != nil {
-		opts = append(opts, bufsim.WithCacheStore(cache))
+	if o.cache != nil {
+		opts = append(opts, bufsim.WithCacheStore(o.cache))
 	}
-	fmt.Printf("simulating %d %v flows for %v (+%v warmup)...\n",
-		cfg.Flows, cfg.Variant, cfg.Measure, cfg.Warmup)
-	res := bufsim.Simulate(cfg, opts...)
-	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, %.2f%% retransmits\n",
-		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, 100*res.RetransmitFraction)
-	fmt.Printf("queueing delay:  mean %v, P99 %v; fairness %.3f\n",
-		res.QueueDelayMean, res.QueueDelayP99, res.Fairness)
+	simulate(opts...)
 	if reg != nil {
-		f, err := os.Create(metricsPath)
+		f, err := os.Create(o.metricsPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := reg.WriteJSON(f); err != nil {
-			log.Fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("telemetry:       written to %s\n", metricsPath)
+		fmt.Printf("telemetry:       written to %s\n", o.metricsPath)
 	}
 	if aud != nil {
 		if err := aud.Err(); err != nil {
-			log.Fatalf("audit: %v", err)
+			return fmt.Errorf("audit: %v", err)
 		}
 		fmt.Println("audit:           all invariants held")
 	}
-	if cache != nil {
-		s := cache.Stats()
-		if s.Hits > 0 {
+	if o.cache != nil {
+		if o.cache.Stats().Hits > 0 {
 			fmt.Println("cache:           hit — result replayed from a previous identical run")
 		} else {
 			fmt.Println("cache:           miss — result stored for next time")
 		}
-		if fails := cache.VerifyFailures(); len(fails) > 0 {
-			log.Fatalf("cache-verify: recomputation mismatched the stored result (%d failure(s))", len(fails))
+		if fails := o.cache.VerifyFailures(); len(fails) > 0 {
+			return fmt.Errorf("cache-verify: recomputation mismatched the stored result (%d failure(s))", len(fails))
 		}
+	}
+	return nil
+}
+
+// runLongLived runs the long-lived scenario (unless skipped) and reports.
+func runLongLived(cfg bufsim.Simulation, skip bool, obs observers) error {
+	if skip {
+		return nil
+	}
+	var res bufsim.SimulationResult
+	err := obs.run(func(opts ...bufsim.Option) {
+		fmt.Printf("simulating %d %v flows for %v (+%v warmup)...\n",
+			cfg.Flows, cfg.Variant, cfg.Measure, cfg.Warmup)
+		res = bufsim.Simulate(cfg, opts...)
+		fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, %.2f%% retransmits\n",
+			100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, 100*res.RetransmitFraction)
+		fmt.Printf("queueing delay:  mean %v, P99 %v; fairness %.3f\n",
+			res.QueueDelayMean, res.QueueDelayP99, res.Fairness)
+	})
+	if err != nil {
+		return err
 	}
 	if res.Utilization < 0.98 {
 		fmt.Println("note: below 98% utilization — try a larger -buffer-factor or more flows")
 	}
+	return nil
 }
 
-// runAdversaryAndPrint runs the -adversary scenario: one worst-case
-// traffic pattern against the chosen buffer, reporting the failure-mode
+// runAdversary runs the -adversary scenario: one worst-case traffic
+// pattern against the chosen buffer, reporting the failure-mode
 // measurements instead of the long-lived scenario's.
-func runAdversaryAndPrint(arg string, cfg bufsim.AdversarySimulation, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache) {
+func runAdversary(arg string, cfg bufsim.AdversarySimulation, skip bool, obs observers) error {
 	p, err := bufsim.ParseAdversary(arg)
 	if err != nil {
-		log.Fatalf("-adversary: %v", err)
+		return fmt.Errorf("-adversary: %v", err)
 	}
 	cfg.Pattern = p
 	fmt.Printf("adversary:       %s — %s\n", p, p.Doc())
 	if skip {
-		return
+		return nil
 	}
-	if metricsPath != "" {
-		log.Fatal("-metrics is not supported with -adversary (the pattern runners publish no telemetry)")
+	if obs.metricsPath != "" {
+		return errors.New("-metrics is not supported with -adversary (the pattern runners publish no telemetry)")
 	}
-	var opts []bufsim.Option
-	var aud *bufsim.Auditor
-	if auditOn {
-		aud = bufsim.NewAuditor()
-		opts = append(opts, bufsim.WithAudit(aud))
-	}
-	if cache != nil {
-		opts = append(opts, bufsim.WithCacheStore(cache))
-	}
-	fmt.Printf("simulating %d-strong %s cohort for %v (+%v warmup)...\n",
-		cfg.Flows, p, cfg.Measure, cfg.Warmup)
-	res := bufsim.SimulateAdversary(cfg, opts...)
-	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, peak %d pkts\n",
-		100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, res.PeakQueuePackets)
-	if res.SyncIndex != 0 {
-		fmt.Printf("sync index:      %.2f (1.0 = the desynchronized CLT prediction)\n", res.SyncIndex)
-	}
-	if aud != nil {
-		if err := aud.Err(); err != nil {
-			log.Fatalf("audit: %v", err)
+	var res bufsim.AdversaryResult
+	err = obs.run(func(opts ...bufsim.Option) {
+		fmt.Printf("simulating %d-strong %s cohort for %v (+%v warmup)...\n",
+			cfg.Flows, p, cfg.Measure, cfg.Warmup)
+		res = bufsim.SimulateAdversary(cfg, opts...)
+		fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.0f pkts, peak %d pkts\n",
+			100*res.Utilization, 100*res.LossRate, res.MeanQueuePackets, res.PeakQueuePackets)
+		if res.SyncIndex != 0 {
+			fmt.Printf("sync index:      %.2f (1.0 = the desynchronized CLT prediction)\n", res.SyncIndex)
 		}
-		fmt.Println("audit:           all invariants held")
-	}
-	if cache != nil {
-		s := cache.Stats()
-		if s.Hits > 0 {
-			fmt.Println("cache:           hit — result replayed from a previous identical run")
-		} else {
-			fmt.Println("cache:           miss — result stored for next time")
-		}
-		if fails := cache.VerifyFailures(); len(fails) > 0 {
-			log.Fatalf("cache-verify: recomputation mismatched the stored result (%d failure(s))", len(fails))
-		}
+	})
+	if err != nil {
+		return err
 	}
 	if res.Utilization < 0.98 {
 		fmt.Println("note: below 98% utilization — the pattern defeated this buffer")
 	}
+	return nil
 }
 
 // profileScenario carries the -workload invocation: a profile shape (a
@@ -341,80 +350,40 @@ func resolveProfile(arg string) (bufsim.Profile, error) {
 	return preset.Profile(), nil
 }
 
-// runProfileAndPrint runs the -workload scenario through
-// SimulateProfile and reports the surge's outcome.
-func runProfileAndPrint(sc profileScenario, skip bool, metricsPath string, auditOn bool, cache *bufsim.Cache) {
+// runProfile runs the -workload scenario through SimulateProfile and
+// reports the surge's outcome.
+func runProfile(sc profileScenario, skip bool, obs observers) error {
 	prof, err := resolveProfile(sc.arg)
 	if err != nil {
-		log.Fatalf("-workload: %v", err)
+		return fmt.Errorf("-workload: %v", err)
 	}
 	sizes := bufsim.FixedSize(sc.flowLen)
 	scaled := prof.ScaleTo(bufsim.ArrivalRate(sc.load, sc.link, sizes), float64(sc.peakFlows))
 	w, err := bufsim.ProfileWorkload(scaled, sizes, 0)
 	if err != nil {
-		log.Fatalf("-workload: %v", err)
+		return fmt.Errorf("-workload: %v", err)
 	}
 	if skip {
-		return
+		return nil
 	}
-	opts := []bufsim.Option{
-		bufsim.WithCongestionControl(sc.variant),
-		bufsim.WithPacing(sc.paced),
-	}
-	var reg *bufsim.Registry
-	if metricsPath != "" {
-		reg = bufsim.NewRegistry()
-		opts = append(opts, bufsim.WithMetrics(reg))
-	}
-	var aud *bufsim.Auditor
-	if auditOn {
-		aud = bufsim.NewAuditor()
-		opts = append(opts, bufsim.WithAudit(aud))
-	}
-	if cache != nil {
-		opts = append(opts, bufsim.WithCacheStore(cache))
-	}
-	fmt.Printf("simulating %q workload (peak load %.0f%%, peak %d long flows) for %v (+%v warmup)...\n",
-		prof.Name, 100*sc.load, sc.peakFlows, sc.measure, sc.warmup)
-	res := bufsim.SimulateProfile(bufsim.ProfileSimulation{
-		Seed:          sc.seed,
-		Link:          sc.link,
-		BufferPackets: sc.buffer,
-		Workload:      w,
-		RED:           sc.red,
-		Warmup:        sc.warmup,
-		Measure:       sc.measure,
-	}, opts...)
-	fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.1f pkts (peak %d)\n",
-		100*res.Utilization, 100*res.LossRate, res.MeanQueue, res.PeakQueue)
-	fmt.Printf("flows:           peak n(t) %.0f (mean %.1f), %d launched; AFCT %v over %d completed (%d censored)\n",
-		res.PeakActive, res.MeanActive, res.Generated, res.AFCT, res.Completed, res.Censored)
-	if reg != nil {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := reg.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("telemetry:       written to %s\n", metricsPath)
-	}
-	if aud != nil {
-		if err := aud.Err(); err != nil {
-			log.Fatalf("audit: %v", err)
-		}
-		fmt.Println("audit:           all invariants held")
-	}
-	if cache != nil {
-		if cache.Stats().Hits > 0 {
-			fmt.Println("cache:           hit — result replayed from a previous identical run")
-		} else {
-			fmt.Println("cache:           miss — result stored for next time")
-		}
-	}
+	return obs.run(func(opts ...bufsim.Option) {
+		fmt.Printf("simulating %q workload (peak load %.0f%%, peak %d long flows) for %v (+%v warmup)...\n",
+			prof.Name, 100*sc.load, sc.peakFlows, sc.measure, sc.warmup)
+		opts = append(opts, bufsim.WithCongestionControl(sc.variant), bufsim.WithPacing(sc.paced))
+		res := bufsim.SimulateProfile(bufsim.ProfileSimulation{
+			Seed:          sc.seed,
+			Link:          sc.link,
+			BufferPackets: sc.buffer,
+			Workload:      w,
+			RED:           sc.red,
+			Warmup:        sc.warmup,
+			Measure:       sc.measure,
+		}, opts...)
+		fmt.Printf("measured:        %.2f%% utilization, %.3f%% loss, mean queue %.1f pkts (peak %d)\n",
+			100*res.Utilization, 100*res.LossRate, res.MeanQueue, res.PeakQueue)
+		fmt.Printf("flows:           peak n(t) %.0f (mean %.1f), %d launched; AFCT %v over %d completed (%d censored)\n",
+			res.PeakActive, res.MeanActive, res.Generated, res.AFCT, res.Completed, res.Censored)
+	})
 }
 
 func mbit(packets, segBytes int) float64 {

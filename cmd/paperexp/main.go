@@ -102,7 +102,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, parallel: *par, workload: *wlArg, adversary: *advArg}
+	r := runner{quick: *quick, seed: *seed, csvDir: *csvDir, svgDir: *svgDir, workload: *wlArg, adversary: *advArg}
+	r.env.Parallelism = *par
 	if *resume || *verify {
 		*cacheOn = true
 	}
@@ -114,8 +115,8 @@ func main() {
 		if *verify {
 			store.SetVerifySample(verifySample)
 		}
-		r.cache = store
-		r.resume = *resume
+		r.env.Cache = store
+		r.env.Resume = *resume
 	}
 	if *metOut != "" {
 		r.metrics = metrics.New()
@@ -124,7 +125,7 @@ func main() {
 		// Log the first violations as they happen (the auditor itself also
 		// stores a bounded sample); the summary below reports the total.
 		var logged int64
-		r.audit = audit.New(audit.OnViolation(func(v audit.Violation) {
+		r.env.Audit = audit.New(audit.OnViolation(func(v audit.Violation) {
 			if logged < 20 {
 				log.Printf("audit: %s", v)
 			}
@@ -142,13 +143,13 @@ func main() {
 	// have already printed their output, so -resume skips straight to the
 	// first unfinished one.
 	var man *runcache.RunManifest
-	if r.cache != nil {
+	if r.env.Cache != nil {
 		runKey := runcache.Key("paperexp-run-v1", "run", struct {
 			Ids   []string
 			Quick bool
 			Seed  int64
 		}{ids, *quick, *seed})
-		man = r.cache.Run(runKey, r.resume)
+		man = r.env.Cache.Run(runKey, r.env.Resume)
 	}
 	for _, id := range ids {
 		if man.IsDone(id) {
@@ -164,11 +165,11 @@ func main() {
 		man.MarkDone(id)
 	}
 	man.Finish()
-	if r.cache != nil {
-		s := r.cache.Stats()
+	if r.env.Cache != nil {
+		s := r.env.Cache.Stats()
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses (%.0f%% hit rate), %d stored, %d verified\n",
 			s.Hits, s.Misses, 100*s.HitRate(), s.Puts, s.Verified)
-		if fails := r.cache.VerifyFailures(); len(fails) > 0 {
+		if fails := r.env.Cache.VerifyFailures(); len(fails) > 0 {
 			for _, f := range fails {
 				log.Printf("cache-verify: %s point %s recomputed differently", f.Kind, f.Key[:12])
 			}
@@ -188,9 +189,9 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *metOut)
 	}
-	if r.audit != nil {
-		if n := r.audit.Count(); n > 0 {
-			log.Fatalf("audit: %d invariant violation(s); first stored:\n%s", n, r.audit)
+	if r.env.Audit != nil {
+		if n := r.env.Audit.Count(); n > 0 {
+			log.Fatalf("audit: %d invariant violation(s); first stored:\n%s", n, r.env.Audit)
 		}
 		fmt.Println("audit: all invariants held")
 	}
@@ -201,34 +202,21 @@ type runner struct {
 	seed      int64
 	csvDir    string
 	svgDir    string
-	parallel  int    // worker bound for the sweeping experiments; 0 = all CPUs
 	workload  string // -workload: profile preset name or .json path
 	adversary string // -adversary: restrict the adversarial sweep to one pattern
-	metrics   *metrics.Registry
-	audit     *audit.Auditor  // nil unless -audit
-	cache     *runcache.Store // nil unless -cache
-	resume    bool
+
+	// metrics collects every experiment's telemetry under its id; nil
+	// unless -metrics.
+	metrics *metrics.Registry
+
+	// env is the run environment each experiment's config embeds: the
+	// -audit auditor, the -cache store and -resume, -parallel, and
+	// during run a fresh registry for that experiment's telemetry.
+	env experiment.Env
 }
 
 // verifySample is the fraction of cache hits -cache-verify recomputes.
 const verifySample = 0.25
-
-// child returns a fresh registry for one experiment's telemetry when
-// -metrics was requested, else nil (telemetry disabled).
-func (r runner) child() *metrics.Registry {
-	if r.metrics == nil {
-		return nil
-	}
-	return metrics.New()
-}
-
-// mergeMetrics folds one experiment's registry into the master dump under
-// the experiment id.
-func (r runner) mergeMetrics(id string, child *metrics.Registry) {
-	if r.metrics != nil && child != nil {
-		r.metrics.Merge(id, child)
-	}
-}
 
 // writeSVG renders a chart into the svg directory, if one was requested.
 func (r runner) writeSVG(name string, c *plot.Chart) error {
@@ -251,7 +239,13 @@ func (r runner) writeSVG(name string, c *plot.Chart) error {
 	return nil
 }
 
+// run executes one experiment. With -metrics, the experiment reports
+// into a registry of its own, merged into the dump under id afterwards.
 func (r runner) run(id string) error {
+	if r.metrics != nil {
+		r.env.Metrics = metrics.New()
+		defer r.metrics.Merge(id, r.env.Metrics)
+	}
 	switch id {
 	case "fig2", "fig3":
 		return r.singleFlow(1.0, "fig2_rule_of_thumb")
@@ -329,12 +323,11 @@ func (r runner) writeCSV(name string, series ...*trace.Series) error {
 }
 
 func (r runner) singleFlow(factor float64, name string) error {
-	cfg := experiment.SingleFlowConfig{BufferFactor: factor, Metrics: r.child(), Audit: r.audit, Cache: r.cache}
+	cfg := experiment.SingleFlowConfig{BufferFactor: factor, Env: r.env}
 	if r.quick {
 		cfg.Warmup, cfg.Measure = 60*units.Second, 60*units.Second
 	}
 	res := experiment.RunSingleFlow(cfg)
-	r.mergeMetrics(name, cfg.Metrics)
 	fmt.Printf("BDP %d pkts, buffer %d pkts (%.3gx)\n", res.BDPPackets, res.BufferPackets, factor)
 	fmt.Printf("utilization %.2f%%, mean queue %.1f pkts, min queue seen %.0f pkts\n",
 		100*res.Utilization, res.MeanQueue, res.MinQueueSeen)
@@ -355,7 +348,7 @@ func (r runner) singleFlow(factor float64, name string) error {
 }
 
 func (r runner) windowDist() error {
-	cfg := experiment.WindowDistConfig{Seed: r.seed, N: 200, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.WindowDistConfig{Seed: r.seed, N: 200, Env: r.env}
 	if r.quick {
 		cfg.N = 80
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -388,7 +381,7 @@ func (r runner) windowDist() error {
 }
 
 func (r runner) minBuffer() error {
-	cfg := experiment.MinBufferConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.MinBufferConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{25, 50, 100, 200}
@@ -443,7 +436,7 @@ func (r runner) minBuffer() error {
 }
 
 func (r runner) shortFlows() error {
-	cfg := experiment.ShortFlowBufferConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.ShortFlowBufferConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.Rates = []units.BitRate{20 * units.Mbps, 60 * units.Mbps}
 		cfg.Warmup, cfg.Measure = 5*units.Second, 15*units.Second
@@ -452,7 +445,6 @@ func (r runner) shortFlows() error {
 		cfg.FlowLens = []int64{6, 14, 30, 62}
 	}
 	points := experiment.RunShortFlowBuffer(cfg)
-	r.mergeMetrics("fig8", cfg.Metrics)
 	if err := experiment.Render(os.Stdout, points); err != nil {
 		return err
 	}
@@ -491,7 +483,7 @@ func (r runner) shortFlows() error {
 }
 
 func (r runner) afct(sizes workload.SizeDist, name string) error {
-	cfg := experiment.AFCTComparisonConfig{Seed: r.seed, Sizes: sizes, Metrics: r.child(), Audit: r.audit, Cache: r.cache}
+	cfg := experiment.AFCTComparisonConfig{Seed: r.seed, Sizes: sizes, Env: r.env}
 	if r.quick {
 		cfg.NLong = 60
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -499,12 +491,11 @@ func (r runner) afct(sizes workload.SizeDist, name string) error {
 	}
 	fmt.Printf("short-flow sizes: %v\n", sizes)
 	res := experiment.RunAFCTComparison(cfg)
-	r.mergeMetrics(name, cfg.Metrics)
 	return experiment.Render(os.Stdout, res)
 }
 
 func (r runner) table(red bool) error {
-	cfg := experiment.UtilizationTableConfig{Seed: r.seed, UseRED: red, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.UtilizationTableConfig{Seed: r.seed, UseRED: red, Env: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{50, 100}
@@ -514,17 +505,11 @@ func (r runner) table(red bool) error {
 	if red {
 		fmt.Println("queue discipline: RED")
 	}
-	rows := experiment.RunUtilizationTable(cfg)
-	id := "fig10"
-	if red {
-		id = "red"
-	}
-	r.mergeMetrics(id, cfg.Metrics)
-	return experiment.Render(os.Stdout, rows)
+	return experiment.Render(os.Stdout, experiment.RunUtilizationTable(cfg))
 }
 
 func (r runner) production() error {
-	cfg := experiment.ProductionConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.ProductionConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.NLong = 30
 		cfg.Buffers = []int{8, 46, 300}
@@ -535,7 +520,7 @@ func (r runner) production() error {
 }
 
 func (r runner) pacing() error {
-	cfg := experiment.PacingConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.PacingConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.N = 20
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -547,7 +532,7 @@ func (r runner) pacing() error {
 }
 
 func (r runner) smoothing() error {
-	cfg := experiment.SmoothingConfig{Seed: r.seed, TailAt: 20, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.SmoothingConfig{Seed: r.seed, TailAt: 20, Env: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Warmup, cfg.Measure = 8*units.Second, 30*units.Second
@@ -557,7 +542,7 @@ func (r runner) smoothing() error {
 }
 
 func (r runner) backbone() error {
-	cfg := experiment.BackboneConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.BackboneConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 600 * units.Mbps
 		cfg.N = 600
@@ -568,7 +553,7 @@ func (r runner) backbone() error {
 }
 
 func (r runner) multihop() error {
-	cfg := experiment.MultiHopConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.MultiHopConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.LinkRate = 20 * units.Mbps
 		cfg.NPerGroup = 40
@@ -579,7 +564,7 @@ func (r runner) multihop() error {
 }
 
 func (r runner) variants() error {
-	cfg := experiment.VariantConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.VariantConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.N = 60
 		cfg.BottleneckRate = 20 * units.Mbps
@@ -590,7 +575,7 @@ func (r runner) variants() error {
 }
 
 func (r runner) ecn() error {
-	cfg := experiment.ECNConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.ECNConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.N = 100
 		cfg.BottleneckRate = 40 * units.Mbps
@@ -601,7 +586,7 @@ func (r runner) ecn() error {
 }
 
 func (r runner) harpoon() error {
-	cfg := experiment.HarpoonConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.HarpoonConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 40 * units.Mbps
 		cfg.Sessions = 500
@@ -612,7 +597,7 @@ func (r runner) harpoon() error {
 }
 
 func (r runner) codel() error {
-	cfg := experiment.CoDelConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.CoDelConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.N = 100
 		cfg.BottleneckRate = 40 * units.Mbps
@@ -628,14 +613,13 @@ func (r runner) codel() error {
 // rule RTTxC/sqrt(n). Loss-based families track the rule; BBR's curve
 // decouples from it.
 func (r runner) ccFamilies() error {
-	cfg := experiment.CCFamilyConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.CCFamilyConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{25, 50, 100}
 		cfg.Warmup, cfg.Measure = 8*units.Second, 15*units.Second
 	}
 	table := experiment.RunCCFamily(cfg)
-	r.mergeMetrics("ccfamilies", cfg.Metrics)
 	if err := experiment.Render(os.Stdout, table); err != nil {
 		return err
 	}
@@ -689,7 +673,7 @@ func (r runner) ccFamilies() error {
 // profile .json); curves are rescaled to the experiment's peak load and
 // population, so they act as shapes.
 func (r runner) flashCrowd() error {
-	cfg := experiment.FlashCrowdConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.FlashCrowdConfig{Seed: r.seed, Env: r.env}
 	if r.workload != "" {
 		p, err := profile.FromArg(r.workload)
 		if err != nil {
@@ -719,7 +703,6 @@ func (r runner) flashCrowd() error {
 	}
 	fmt.Printf("workload profile: %s\n", shape)
 	rows := experiment.RunFlashCrowd(cfg)
-	r.mergeMetrics("flashcrowd", cfg.Metrics)
 	if err := experiment.Render(os.Stdout, rows); err != nil {
 		return err
 	}
@@ -753,7 +736,7 @@ func (r runner) flashCrowd() error {
 }
 
 func (r runner) adversarial() error {
-	cfg := experiment.AdversarialConfig{Seed: r.seed, Metrics: r.child(), Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.AdversarialConfig{Seed: r.seed, Env: r.env}
 	if r.adversary != "" {
 		p, err := adversary.ParsePattern(r.adversary)
 		if err != nil {
@@ -770,7 +753,6 @@ func (r runner) adversarial() error {
 		cfg.Warmup, cfg.Measure = 2*units.Second, 6*units.Second
 	}
 	table := experiment.RunAdversarial(cfg)
-	r.mergeMetrics("adversarial", cfg.Metrics)
 	if err := experiment.Render(os.Stdout, table); err != nil {
 		return err
 	}
@@ -802,7 +784,7 @@ func (r runner) adversarial() error {
 }
 
 func (r runner) probeLadder() error {
-	cfg := experiment.ProbeLadderConfig{Seed: r.seed, Cache: r.cache}
+	cfg := experiment.ProbeLadderConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.Limits = []int{16, 64, 256}
 	}
@@ -811,7 +793,7 @@ func (r runner) probeLadder() error {
 }
 
 func (r runner) rttSpread() error {
-	cfg := experiment.RTTSpreadConfig{Seed: r.seed, Parallelism: r.parallel, Audit: r.audit, Cache: r.cache, Resume: r.resume}
+	cfg := experiment.RTTSpreadConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.N = 100
 		cfg.BottleneckRate = 40 * units.Mbps
@@ -822,7 +804,7 @@ func (r runner) rttSpread() error {
 }
 
 func (r runner) sync() error {
-	cfg := experiment.SyncConfig{Seed: r.seed, Audit: r.audit, Cache: r.cache}
+	cfg := experiment.SyncConfig{Seed: r.seed, Env: r.env}
 	if r.quick {
 		cfg.BottleneckRate = 20 * units.Mbps
 		cfg.Ns = []int{5, 30, 120}

@@ -1,10 +1,8 @@
 package experiment
 
 import (
-	"bufsim/internal/audit"
 	"bufsim/internal/model"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -27,13 +25,7 @@ type PacingConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every comparison under the
-	// conservation-law checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the underlying long-lived runs (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c PacingConfig) withDefaults() PacingConfig {
@@ -69,8 +61,7 @@ func RunPacingAblation(cfg PacingConfig) PacingTable {
 		SegmentSize:    cfg.SegmentSize,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		Env:            cfg.pointEnv(),
 	}
 	ll = ll.withDefaults()
 	meanRTT := (ll.RTTMin + ll.RTTMax) / 2
@@ -128,13 +119,7 @@ type SmoothingConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every access-ratio point under the
-	// conservation-law checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes each access-ratio point (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c SmoothingConfig) withDefaults() SmoothingConfig {

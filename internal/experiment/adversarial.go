@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,10 +8,8 @@ import (
 
 	"bufsim/internal/adversary"
 	"bufsim/internal/audit"
-	"bufsim/internal/metrics"
 	"bufsim/internal/probe"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -64,17 +61,7 @@ type AdversarialConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Parallelism bounds the sweep's worker goroutines; 0 means the
-	// machine's parallelism.
-	Parallelism int
-
-	// Metrics, Audit, Cache, Resume and Ctx observe and orchestrate the
-	// runs exactly as in LongLivedConfig.
-	Metrics *metrics.Registry
-	Audit   *audit.Auditor
-	Cache   *runcache.Store
-	Resume  bool
-	Ctx     context.Context
+	Env
 }
 
 func (c AdversarialConfig) withDefaults() AdversarialConfig {
@@ -191,13 +178,9 @@ func RunAdversarial(cfg AdversarialConfig) AdversarialTable {
 	rows := make(AdversarialTable, len(cfg.Patterns)*len(cfg.BufferFactors))
 	force := cfg.Metrics != nil || cfg.Audit != nil
 	runSweep(sweepSpec{
-		name:        "adversarial",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "adversarial",
+		cfg:  cfg,
+		Env:  cfg.Env,
 	}, len(rows), func(i int) {
 		pc := adversarialPointConfig{
 			Seed:            cfg.Seed,
@@ -273,9 +256,7 @@ type AdversaryScenario struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit and Cache observe the run exactly as in LongLivedConfig.
-	Audit *audit.Auditor
-	Cache *runcache.Store
+	Env
 }
 
 func (c AdversaryScenario) withDefaults() AdversaryScenario {
@@ -471,8 +452,7 @@ type ProbeLadderConfig struct {
 	// SegmentSize is the probe's standard packet.
 	SegmentSize units.ByteSize
 
-	// Cache, when non-nil, memoizes the table (see LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c ProbeLadderConfig) withDefaults() ProbeLadderConfig {

@@ -4,10 +4,8 @@ import (
 	"math"
 	"time"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -41,21 +39,11 @@ type AFCTComparisonConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives telemetry for both regimes, merged
-	// under the regime labels ("RTT*C", "RTT*C/sqrt(n)").
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs both regimes under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes each regime's run (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
-
 	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
 	// instead of the measurement window (see LongLivedConfig).
 	MeanQueueIncludesWarmup bool
+
+	Env
 }
 
 func (c AFCTComparisonConfig) withDefaults() AFCTComparisonConfig {
@@ -133,25 +121,15 @@ type MixedConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the run (see LongLivedConfig.Cache).
-	// The entry is shared with RunAFCTComparison points that lower to the
-	// same scenario.
-	Cache *runcache.Store
-
 	// MeanQueueIncludesWarmup reverts MeanQueue to averaging from t=0
 	// instead of the measurement window (see LongLivedConfig).
 	MeanQueueIncludesWarmup bool
+
+	Env
 }
 
-// RunMixed executes one mixed-traffic scenario.
+// RunMixed executes one mixed-traffic scenario. Its cache entry is
+// shared with RunAFCTComparison points that lower to the same scenario.
 func RunMixed(cfg MixedConfig) AFCTOutcome {
 	base := AFCTComparisonConfig{
 		Seed:            cfg.Seed,
@@ -170,8 +148,7 @@ func RunMixed(cfg MixedConfig) AFCTOutcome {
 		UseRED:          cfg.UseRED,
 		Warmup:          cfg.Warmup,
 		Measure:         cfg.Measure,
-		Audit:           cfg.Audit,
-		Cache:           cfg.Cache,
+		Env:             cfg.pointEnv(),
 
 		MeanQueueIncludesWarmup: cfg.MeanQueueIncludesWarmup,
 	}.withDefaults()
@@ -216,17 +193,7 @@ type TraceConfig struct {
 	// running for stragglers (default 60 s).
 	Drain units.Duration
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the replay under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the replay's result (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 // TraceResult summarizes a replayed trace.
@@ -408,7 +375,9 @@ func runMixedUncached(cfg AFCTComparisonConfig, label string, buffer int, reg *m
 	}
 }
 
-// RunAFCTComparison executes the Fig. 9 experiment.
+// RunAFCTComparison executes the Fig. 9 experiment. With cfg.Metrics
+// set, each regime's telemetry is merged under its label ("RTT*C",
+// "RTT*C/sqrt(n)").
 func RunAFCTComparison(cfg AFCTComparisonConfig) AFCTComparisonResult {
 	cfg = cfg.withDefaults()
 	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2

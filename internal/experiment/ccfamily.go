@@ -1,14 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/metrics"
-	"bufsim/internal/runcache"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 )
@@ -48,17 +44,7 @@ type CCFamilyConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Parallelism bounds the sweep's worker goroutines; 0 means the
-	// machine's parallelism.
-	Parallelism int
-
-	// Metrics, Audit, Cache, Resume and Ctx observe and orchestrate the
-	// underlying runs exactly as in LongLivedConfig.
-	Metrics *metrics.Registry
-	Audit   *audit.Auditor
-	Cache   *runcache.Store
-	Resume  bool
-	Ctx     context.Context
+	Env
 }
 
 func (c CCFamilyConfig) withDefaults() CCFamilyConfig {
@@ -162,13 +148,9 @@ func RunCCFamily(cfg CCFamilyConfig) CCFamilyTable {
 
 	points := make(CCFamilyTable, len(cfg.Variants)*len(cfg.Ns))
 	runSweep(sweepSpec{
-		name:        "ccfamily",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "ccfamily",
+		cfg:  cfg,
+		Env:  cfg.Env,
 	}, len(points), func(i int) {
 		v := cfg.Variants[i/len(cfg.Ns)]
 		n := cfg.Ns[i%len(cfg.Ns)]
@@ -190,8 +172,7 @@ func runCCFamilyPoint(cfg CCFamilyConfig, v tcp.Variant, n, bdp int) CCFamilyPoi
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
 		Variant:        v,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		Env:            cfg.pointEnv(),
 	}
 	sqrtRule := SqrtRuleBuffer(float64(bdp), n)
 	hi := 2 * bdp

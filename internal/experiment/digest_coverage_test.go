@@ -47,35 +47,30 @@ var digestConfigs = []any{
 	ProbeLadderConfig{},
 }
 
-// ignoredFieldNames mirrors digestIgnore: the observation-only field
-// names excluded from the digest at any nesting depth.
-var ignoredFieldNames = map[string]bool{
-	"Metrics": true, "Audit": true, "Cache": true,
-	"Resume": true, "Parallelism": true, "Ctx": true,
-}
-
 // TestDigestCoversEveryField is the cache's completeness contract,
 // checked by reflection so it cannot rot as configs grow fields:
 //
 //   - every semantic field must reach the digest (perturbing it changes
 //     the cache key — otherwise the cache would serve stale results for
 //     a config that means something different), and
-//   - every observation/policy field (telemetry, audit, the cache handle
+//   - the embedded run environment (telemetry, audit, the cache handle
 //     itself, worker counts, contexts) must NOT reach it — otherwise
-//     turning observability on would needlessly re-simulate.
+//     turning observability on would needlessly re-simulate — and no
+//     config may declare one of its fields directly, outside Env.
 func TestDigestCoversEveryField(t *testing.T) {
 	store, err := runcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Non-zero values for the observation-only fields digestIgnore names.
-	observed := map[string]any{
-		"Metrics":     metrics.New(),
-		"Audit":       audit.New(),
-		"Cache":       store,
-		"Resume":      true,
-		"Parallelism": 4,
-		"Ctx":         context.Background(),
+	// A run environment with every field set: attaching it must not move
+	// the key.
+	env := Env{
+		Metrics:     metrics.New(),
+		Audit:       audit.New(),
+		Cache:       store,
+		Resume:      true,
+		Parallelism: 4,
+		Ctx:         context.Background(),
 	}
 	for _, cfg := range digestConfigs {
 		typ := reflect.TypeOf(cfg)
@@ -89,10 +84,14 @@ func TestDigestCoversEveryField(t *testing.T) {
 				mutated := reflect.New(typ).Elem()
 				mutated.Set(reflect.ValueOf(cfg))
 				fv := mutated.Field(i)
-				if ov, ok := observed[f.Name]; ok {
-					fv.Set(reflect.ValueOf(ov).Convert(f.Type))
+				if _, ok := reflect.TypeOf(env).FieldByName(f.Name); ok {
+					t.Errorf("%s: run-environment field declared directly; embed Env instead", f.Name)
+					continue
+				}
+				if f.Name == "Env" {
+					fv.Set(reflect.ValueOf(env))
 					if pointKey("completeness", mutated.Interface()) != base {
-						t.Errorf("%s: observation-only field reaches the digest; attaching it would force a re-simulation", f.Name)
+						t.Errorf("%s: the run environment reaches the digest; attaching it would force a re-simulation", f.Name)
 					}
 					continue
 				}
@@ -130,9 +129,9 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 		for i := 0; i < v.NumField(); i++ {
 			f := v.Type().Field(i)
 			// Nested configs (a grid-point key embedding a scenario)
-			// carry the same observation-only fields as top-level ones;
-			// digestIgnore strips them at any depth, so skip them here.
-			if !f.IsExported() || ignoredFieldNames[f.Name] {
+			// carry a run environment like top-level ones; digestIgnore
+			// strips it at any depth, so skip it here.
+			if !f.IsExported() || f.Name == "Env" {
 				continue
 			}
 			setNonZero(t, name, v.Field(i))

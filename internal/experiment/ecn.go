@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bufsim/internal/audit"
-	"bufsim/internal/runcache"
 	"bufsim/internal/units"
 )
 
@@ -22,13 +20,7 @@ type ECNConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs both arms under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the underlying runs (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c ECNConfig) withDefaults() ECNConfig {
@@ -64,8 +56,7 @@ func RunECN(cfg ECNConfig) ECNResult {
 		UseRED:         true,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		Env:            cfg.pointEnv(),
 	}
 	ll = ll.withDefaults()
 	meanRTT := (ll.RTTMin + ll.RTTMax) / 2

@@ -1,17 +1,14 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"text/tabwriter"
 	"time"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -49,10 +46,7 @@ type ProfileRunConfig struct {
 	// before being counted censored (default 30s, as ShortFlowAFCT).
 	Drain units.Duration
 
-	// Metrics, Audit and Cache follow LongLivedConfig's semantics.
-	Metrics *metrics.Registry
-	Audit   *audit.Auditor
-	Cache   *runcache.Store
+	Env
 }
 
 func (c ProfileRunConfig) withDefaults() ProfileRunConfig {
@@ -231,15 +225,7 @@ type FlashCrowdConfig struct {
 
 	Warmup, Measure, Drain units.Duration
 
-	// Metrics, Audit, Cache, Resume, Parallelism and Ctx follow
-	// LongLivedConfig's semantics; the sweep is checkpointed and
-	// resumable like every other cached sweep.
-	Metrics     *metrics.Registry
-	Audit       *audit.Auditor
-	Cache       *runcache.Store
-	Resume      bool
-	Parallelism int
-	Ctx         context.Context
+	Env
 }
 
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
@@ -360,13 +346,9 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 	bdp := float64(units.PacketsInFlight(cfg.BottleneckRate, cfg.MeanRTT, cfg.SegmentSize))
 	out := make(FlashCrowdTable, len(cfg.Buffers))
 	runSweep(sweepSpec{
-		name:        "flashcrowd",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "flashcrowd",
+		cfg:  cfg,
+		Env:  cfg.Env,
 	}, len(cfg.Buffers), func(k int) {
 		buffer := cfg.Buffers[k]
 		res := RunProfile(ProfileRunConfig{
@@ -380,8 +362,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 			Warmup:        cfg.Warmup,
 			Measure:       cfg.Measure,
 			Drain:         cfg.Drain,
-			Audit:         cfg.Audit,
-			Cache:         cfg.Cache,
+			Env:           cfg.pointEnv(),
 		})
 		out[k] = FlashCrowdRow{
 			Buffer:      buffer,
@@ -417,8 +398,7 @@ func RunFlashCrowd(cfg FlashCrowdConfig) FlashCrowdTable {
 				Warmup:        cfg.Warmup,
 				Measure:       cfg.Measure,
 				Drain:         cfg.Drain,
-				Metrics:       child,
-				Cache:         cfg.Cache,
+				Env:           Env{Metrics: child, Cache: cfg.Cache},
 			})
 			cfg.Metrics.Merge(fmt.Sprintf("buffer=%d", r.Buffer), child)
 		}

@@ -3,9 +3,7 @@ package experiment
 import (
 	"math"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -36,15 +34,7 @@ type HarpoonConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs both phases under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes each phase's run keyed on the
-	// buffer limit, so calibration and per-factor points are shared
-	// across runs that sweep different factor lists (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c HarpoonConfig) withDefaults() HarpoonConfig {
@@ -179,7 +169,9 @@ func runHarpoonUncached(cfg HarpoonConfig, limit queue.Limit) harpoonRun {
 	}
 }
 
-// RunHarpoon executes the two-phase experiment.
+// RunHarpoon executes the two-phase experiment. Each phase's run is
+// cached under its buffer limit, so calibration and per-factor points are
+// shared across runs that sweep different factor lists.
 func RunHarpoon(cfg HarpoonConfig) HarpoonResult {
 	cfg = cfg.withDefaults()
 	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2

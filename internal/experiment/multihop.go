@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"bufsim/internal/audit"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -29,13 +27,7 @@ type MultiHopConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs the chain under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the result (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c MultiHopConfig) withDefaults() MultiHopConfig {

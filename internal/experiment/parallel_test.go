@@ -129,7 +129,7 @@ func TestLongLivedMetricsPopulated(t *testing.T) {
 		BottleneckRate: 10 * units.Mbps,
 		Warmup:         3 * units.Second,
 		Measure:        5 * units.Second,
-		Metrics:        reg,
+		Env:            Env{Metrics: reg},
 	})
 	snap := reg.Snapshot()
 	for _, name := range []string{

@@ -95,7 +95,7 @@ func TestShardedAuditZeroViolations(t *testing.T) {
 				Seed: 7, N: 24, BottleneckRate: 20 * units.Mbps,
 				BufferPackets: 40,
 				Warmup:        4 * units.Second, Measure: 8 * units.Second,
-				Audit: aud,
+				Env: Env{Audit: aud},
 			})
 			if vs := aud.Violations(); len(vs) != 0 {
 				t.Fatalf("audit reported %d violations; first: %s", len(vs), vs[0])

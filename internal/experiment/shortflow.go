@@ -1,16 +1,13 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/model"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -42,29 +39,7 @@ type ShortFlowBufferConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives per-point telemetry: after the
-	// bisection settles each point is re-run at its MinBuffer with a child
-	// registry, merged in under a "rate=...,len=..." prefix. The re-run is
-	// separate from the searched runs, so the reported points are identical
-	// with Metrics nil or set.
-	Metrics *metrics.Registry
-
-	// Parallelism bounds how many (rate, length) points simulate at once;
-	// 0 means the machine's parallelism.
-	Parallelism int
-
-	// Audit, when non-nil, runs every probe under the conservation-law
-	// checker; the Auditor is shared across the sweep's workers (it is
-	// concurrency-safe). See LongLivedConfig.Audit.
-	Audit *audit.Auditor
-
-	// Cache memoizes every probe the bisection makes (baseline and each
-	// bisection step), so a resumed or repeated sweep replays the search
-	// from cache; Resume continues an interrupted sweep's checkpoint;
-	// Ctx cancels between points. See LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	Env
 }
 
 func (c ShortFlowBufferConfig) withDefaults() ShortFlowBufferConfig {
@@ -148,17 +123,7 @@ type ShortFlowRunConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the run's (AFCT, completed,
-	// censored) outcome (see LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c ShortFlowRunConfig) withDefaults() ShortFlowRunConfig {
@@ -266,9 +231,7 @@ func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64,
 		Stations:    cfg.Stations,
 		Warmup:      cfg.Warmup,
 		Measure:     cfg.Measure,
-		Metrics:     reg,
-		Audit:       cfg.Audit,
-		Cache:       cfg.Cache,
+		Env:         Env{Metrics: reg, Audit: cfg.Audit, Cache: cfg.Cache},
 	}
 	if buffer.Packets > 0 {
 		run.BufferPackets = buffer.Packets
@@ -279,7 +242,11 @@ func shortFlowAFCT(cfg ShortFlowBufferConfig, rate units.BitRate, flowLen int64,
 
 // RunShortFlowBuffer executes the Fig. 8 experiment. Points (rate x flow
 // length) run in parallel; the bisection within a point is inherently
-// sequential.
+// sequential. Every probe of the bisection is cached. With cfg.Metrics
+// set, each settled point is re-run at its MinBuffer with a child
+// registry merged under a "rate=...,len=..." prefix; the searched runs
+// never see a registry, so the points are identical with Metrics nil or
+// set.
 func RunShortFlowBuffer(cfg ShortFlowBufferConfig) ShortFlowBufferTable {
 	cfg = cfg.withDefaults()
 	type task struct {
@@ -294,13 +261,9 @@ func RunShortFlowBuffer(cfg ShortFlowBufferConfig) ShortFlowBufferTable {
 	}
 	out := make([]ShortFlowBufferPoint, len(tasks))
 	runSweep(sweepSpec{
-		name:        "short-flow-buffer",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "short-flow-buffer",
+		cfg:  cfg,
+		Env:  cfg.Env,
 	}, len(tasks), func(k int) {
 		rate, flowLen := tasks[k].rate, tasks[k].flowLen
 		moments := model.MomentsForFlowLength(flowLen, 2, cfg.MaxWindow)

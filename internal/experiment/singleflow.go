@@ -3,10 +3,7 @@ package experiment
 import (
 	"time"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/metrics"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -44,17 +41,7 @@ type SingleFlowConfig struct {
 	// the same buffer — the sawtooth under early, randomized drops.
 	UseRED bool
 
-	// Metrics, when non-nil, receives the run's telemetry (see
-	// LongLivedConfig.Metrics).
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the result, time series included
-	// (see LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c SingleFlowConfig) withDefaults() SingleFlowConfig {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
 )
@@ -19,13 +20,59 @@ import (
 // invalidates the whole cache at once. See DESIGN.md, "Run cache".
 const cacheSalt = "bufsim-results-v1"
 
-// digestIgnore lists the config fields that never change what a run
-// computes: observers (Metrics, Audit), the cache plumbing itself
-// (Cache, Resume), and execution policy (Parallelism, Ctx). Everything
-// else in a config is semantic and part of the cache key — the
-// reflection completeness test in digest_coverage_test.go enforces that
-// split.
-var digestIgnore = runcache.IgnoreFields("Metrics", "Audit", "Cache", "Resume", "Parallelism", "Ctx")
+// Env is how a run is observed and executed, as opposed to what it
+// computes. Every experiment config embeds one. No Env field reaches the
+// run-cache key (digestIgnore names only Env) and none changes a result:
+// a run is bit-identical under any Env. Everything else in a config is
+// semantic and part of the key — the reflection completeness test in
+// digest_coverage_test.go enforces that split.
+//
+// Parallelism, Resume and Ctx steer the sweep orchestrator (runSweep)
+// only: drivers that run a single simulation, and the few that run a
+// handful in sequence, ignore them. Drivers whose simulations publish no
+// telemetry use Metrics only for a sweep's own timing and cache
+// statistics.
+type Env struct {
+	// Metrics, when non-nil, receives the run's telemetry (scheduler,
+	// bottleneck queue and link, TCP aggregates) and, for a sweep, the
+	// orchestrator's per-point timing and cache hit rate. Telemetry only
+	// observes: the packet trace is identical with Metrics nil or set.
+	Metrics *metrics.Registry
+
+	// Audit, when non-nil, runs every simulation under the
+	// conservation-law checker (see internal/audit): kernel, queues,
+	// links and TCP endpoints report invariant violations into it. It is
+	// concurrency-safe, so one Auditor serves a whole parallel sweep.
+	Audit *audit.Auditor
+
+	// Cache, when non-nil, memoizes results in the content-addressed run
+	// cache: a repeat of the same semantic config replays the stored
+	// result instead of re-simulating. Runs with Metrics or Audit
+	// attached always simulate (the hooks need a live run) but still
+	// warm the cache.
+	Cache *runcache.Store
+
+	// Resume, with Cache set, continues the checkpoint an interrupted
+	// sweep left instead of starting a fresh record.
+	Resume bool
+
+	// Parallelism bounds a sweep's worker goroutines; 0 means the
+	// machine's parallelism.
+	Parallelism int
+
+	// Ctx, when non-nil, cancels a sweep between points (in-flight
+	// points finish).
+	Ctx context.Context
+}
+
+// pointEnv is the part of e a driver hands each simulation it runs: the
+// auditor and the cache. Telemetry stays with the driver (a registry is
+// not goroutine-safe, and attaching one would force a re-simulation),
+// and so does execution policy.
+func (e Env) pointEnv() Env { return Env{Audit: e.Audit, Cache: e.Cache} }
+
+// digestIgnore keeps the run environment out of every cache key.
+var digestIgnore = runcache.IgnoreFields("Env")
 
 // pointKey is the cache key for one computation of the given kind.
 func pointKey(kind string, cfg any) string {
@@ -76,12 +123,8 @@ type sweepSpec struct {
 	// cfg is the sweep-level config; its digest identifies the
 	// checkpoint, so a resumed run with different parameters starts a
 	// fresh record instead of trusting stale progress.
-	cfg         any
-	cache       *runcache.Store
-	resume      bool
-	ctx         context.Context
-	parallelism int
-	metrics     *metrics.Registry
+	cfg any
+	Env
 }
 
 // runSweep replaces bare parallelFor fan-out for the sweep drivers: it
@@ -97,23 +140,23 @@ type sweepSpec struct {
 // parallelFor, results are bit-identical regardless of worker count —
 // the orchestrator only observes.
 func runSweep(spec sweepSpec, n int, point func(i int)) error {
-	ctx := spec.ctx
+	ctx := spec.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var man *runcache.SweepManifest
-	if spec.cache != nil {
-		man = spec.cache.Sweep(spec.name, pointKey("sweep:"+spec.name, spec.cfg), n, spec.resume)
+	if spec.Cache != nil {
+		man = spec.Cache.Sweep(spec.name, pointKey("sweep:"+spec.name, spec.cfg), n, spec.Resume)
 	}
 	resumedPoints := man.DoneCount()
 	var before runcache.Stats
-	if spec.cache != nil {
-		before = spec.cache.Stats()
+	if spec.Cache != nil {
+		before = spec.Cache.Stats()
 	}
 	start := time.Now()
 	durations := make([]time.Duration, n)
 
-	workers := spec.parallelism
+	workers := spec.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -157,7 +200,7 @@ dispatch:
 // existing metrics registry. It runs on one goroutine after the worker
 // pool has drained (the Registry is not goroutine-safe).
 func publishSweepStats(spec sweepSpec, n, resumed int, durations []time.Duration, start time.Time, before runcache.Stats) {
-	reg := spec.metrics
+	reg := spec.Metrics
 	if reg == nil {
 		return
 	}
@@ -180,8 +223,8 @@ func publishSweepStats(spec sweepSpec, n, resumed int, durations []time.Duration
 		reg.Gauge("sweep.point_wall_seconds_mean").Set(sum.Seconds() / float64(completed))
 		reg.Gauge("sweep.point_wall_seconds_max").SetMax(max.Seconds())
 	}
-	if spec.cache != nil {
-		after := spec.cache.Stats()
+	if spec.Cache != nil {
+		after := spec.Cache.Stats()
 		delta := runcache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 		reg.Counter("sweep.cache_hits").Add(delta.Hits)
 		reg.Counter("sweep.cache_misses").Add(delta.Misses)

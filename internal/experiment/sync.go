@@ -3,8 +3,6 @@ package experiment
 import (
 	"math"
 
-	"bufsim/internal/audit"
-	"bufsim/internal/runcache"
 	"bufsim/internal/units"
 )
 
@@ -29,13 +27,7 @@ type SyncConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every point under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the underlying runs (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c SyncConfig) withDefaults() SyncConfig {
@@ -81,8 +73,7 @@ func RunSyncAblation(cfg SyncConfig) SyncTable {
 			BufferFactor:    cfg.BufferFactor,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
-			Audit:           cfg.Audit,
-			Cache:           cfg.Cache,
+			Env:             cfg.pointEnv(),
 		})
 		cov := 0.0
 		if r.Mean > 0 {

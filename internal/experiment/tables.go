@@ -1,15 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/metrics"
 	"bufsim/internal/model"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/tcp"
 	"bufsim/internal/topology"
@@ -36,29 +33,9 @@ type UtilizationTableConfig struct {
 
 	UseRED bool // ablation: run the same table under RED
 
-	// Parallelism bounds how many cells simulate at once; 0 means the
-	// machine's parallelism. Results are identical at any setting.
-	Parallelism int
-
 	Warmup, Measure units.Duration
 
-	// Metrics, when non-nil, receives per-cell telemetry: each (n, factor)
-	// cell runs with its own child registry, merged in deterministic cell
-	// order under an "n=...,factor=..." prefix once the sweep finishes.
-	// Rows are byte-identical with Metrics nil or set, at any Parallelism.
-	Metrics *metrics.Registry
-
-	// Audit, when non-nil, runs every cell under the conservation-law
-	// checker; the Auditor is shared across the sweep's workers (it is
-	// concurrency-safe). See LongLivedConfig.Audit.
-	Audit *audit.Auditor
-
-	// Cache memoizes each cell's run; Resume continues an interrupted
-	// sweep's checkpoint; Ctx cancels the sweep between cells. See
-	// LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	Env
 }
 
 func (c UtilizationTableConfig) withDefaults() UtilizationTableConfig {
@@ -104,7 +81,10 @@ type UtilizationRow struct {
 	LossRate  float64
 }
 
-// RunUtilizationTable executes the Fig. 10 table.
+// RunUtilizationTable executes the Fig. 10 table. With cfg.Metrics set,
+// each (n, factor) cell runs with its own child registry, merged in cell
+// order under an "n=...,factor=..." prefix once the sweep finishes, so
+// rows are identical with Metrics nil or set, at any Parallelism.
 func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 	cfg = cfg.withDefaults()
 	meanRTT := (cfg.RTTMin + cfg.RTTMax) / 2
@@ -126,13 +106,9 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 		}
 	}
 	runSweep(sweepSpec{
-		name:        "utilization-table",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
-		metrics:     cfg.Metrics,
+		name: "utilization-table",
+		cfg:  cfg,
+		Env:  cfg.Env,
 	}, len(cells), func(k int) {
 		n := cfg.Ns[cells[k].n]
 		factor := cfg.Factors[cells[k].factorIdx]
@@ -151,8 +127,7 @@ func RunUtilizationTable(cfg UtilizationTableConfig) UtilizationTable {
 			UseRED:          cfg.UseRED,
 			Warmup:          cfg.Warmup,
 			Measure:         cfg.Measure,
-			Audit:           cfg.Audit,
-			Cache:           cfg.Cache,
+			Env:             cfg.pointEnv(),
 		}
 		if cellRegs != nil {
 			run.Metrics = cellRegs[k]
@@ -197,21 +172,7 @@ type ProductionConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every buffer point under the
-	// conservation-law checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Parallelism bounds how many buffer points simulate at once; 0
-	// means the machine's parallelism. Points are independent
-	// simulations, so rows are identical at any setting.
-	Parallelism int
-
-	// Cache memoizes each buffer point; Resume continues an interrupted
-	// sweep's checkpoint; Ctx cancels between points. See
-	// LongLivedConfig for semantics.
-	Cache  *runcache.Store
-	Resume bool
-	Ctx    context.Context
+	Env
 }
 
 func (c ProductionConfig) withDefaults() ProductionConfig {
@@ -270,12 +231,9 @@ func RunProduction(cfg ProductionConfig) ProductionTable {
 
 	rows := make(ProductionTable, len(cfg.Buffers))
 	runSweep(sweepSpec{
-		name:        "production",
-		cfg:         cfg,
-		cache:       cfg.Cache,
-		resume:      cfg.Resume,
-		ctx:         cfg.Ctx,
-		parallelism: cfg.Parallelism,
+		name: "production",
+		cfg:  cfg,
+		Env:  cfg.Env,
 	}, len(cfg.Buffers), func(bi int) {
 		buffer := cfg.Buffers[bi]
 		// The per-point key is the config narrowed to this one buffer,

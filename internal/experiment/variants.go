@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bufsim/internal/audit"
-	"bufsim/internal/runcache"
 	"bufsim/internal/tcp"
 	"bufsim/internal/units"
 )
@@ -25,13 +23,7 @@ type VariantConfig struct {
 
 	Warmup, Measure units.Duration
 
-	// Audit, when non-nil, runs every variant under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the underlying runs (see
-	// LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c VariantConfig) withDefaults() VariantConfig {
@@ -71,8 +63,7 @@ func RunVariantAblation(cfg VariantConfig) VariantTable {
 		SegmentSize:    cfg.SegmentSize,
 		Warmup:         cfg.Warmup,
 		Measure:        cfg.Measure,
-		Audit:          cfg.Audit,
-		Cache:          cfg.Cache,
+		Env:            cfg.pointEnv(),
 	}
 	ll = ll.withDefaults()
 	meanRTT := (ll.RTTMin + ll.RTTMax) / 2

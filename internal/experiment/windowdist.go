@@ -3,9 +3,7 @@ package experiment
 import (
 	"math"
 
-	"bufsim/internal/audit"
 	"bufsim/internal/queue"
-	"bufsim/internal/runcache"
 	"bufsim/internal/sim"
 	"bufsim/internal/stats"
 	"bufsim/internal/tcp"
@@ -31,13 +29,7 @@ type WindowDistConfig struct {
 	Warmup, Measure units.Duration
 	SampleEvery     units.Duration
 
-	// Audit, when non-nil, runs the scenario under the conservation-law
-	// checker (see LongLivedConfig.Audit).
-	Audit *audit.Auditor
-
-	// Cache, when non-nil, memoizes the result, samples and histogram
-	// included (see LongLivedConfig.Cache).
-	Cache *runcache.Store
+	Env
 }
 
 func (c WindowDistConfig) withDefaults() WindowDistConfig {

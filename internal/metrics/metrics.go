@@ -1,6 +1,7 @@
 // Package metrics is the simulator's telemetry layer: counters, gauges,
-// fixed-bucket histograms and (optionally) sampled time series that the
-// sim kernel, queues, links and TCP senders report into.
+// fixed-bucket histograms that the sim kernel, queues, links and TCP
+// senders report into. Time series are trace.Series, recorded by the
+// drivers that plot them.
 //
 // Two properties are non-negotiable and shape the whole design:
 //
@@ -182,38 +183,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// Series is a bounded sampled time series: (time, value) pairs recorded
-// until capacity, then dropped (and counted). It exists for the optional
-// "show me the trajectory" use; bounded capacity keeps long runs flat in
-// memory. A nil *Series is a valid no-op instrument.
-type Series struct {
-	capacity int
-	times    []float64
-	values   []float64
-	dropped  int64
-}
-
-// Append records one sample (dropped once at capacity).
-func (s *Series) Append(t, v float64) {
-	if s == nil {
-		return
-	}
-	if len(s.times) >= s.capacity {
-		s.dropped++
-		return
-	}
-	s.times = append(s.times, t)
-	s.values = append(s.values, v)
-}
-
-// Len returns the number of retained samples.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.times)
-}
-
 // Registry is a named collection of instruments plus collector callbacks
 // that populate snapshot-time values. The zero value is not usable; call
 // New. All methods are safe on a nil *Registry and return nil instruments,
@@ -222,7 +191,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
-	series     map[string]*Series
 	collectors []func()
 }
 
@@ -232,7 +200,6 @@ func New() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		series:   map[string]*Series{},
 	}
 }
 
@@ -279,23 +246,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Series returns the named bounded time series, creating it with the given
-// capacity if needed (nil on a nil registry).
-func (r *Registry) Series(name string, capacity int) *Series {
-	if r == nil {
-		return nil
-	}
-	s, ok := r.series[name]
-	if !ok {
-		if capacity < 1 {
-			capacity = 1
-		}
-		s = &Series{capacity: capacity}
-		r.series[name] = s
-	}
-	return s
-}
-
 // OnCollect registers a callback run at snapshot time; components use it
 // to publish values that would be too expensive (or pointless) to maintain
 // per event.
@@ -333,20 +283,12 @@ type HistogramSnapshot struct {
 	Buckets  []BucketSnapshot `json:"buckets"`
 }
 
-// SeriesSnapshot is a sampled time series' exported state.
-type SeriesSnapshot struct {
-	Times   []float64 `json:"times"`
-	Values  []float64 `json:"values"`
-	Dropped int64     `json:"dropped,omitempty"`
-}
-
 // Snapshot is the full registry state at one instant. Map keys make the
 // JSON encoding deterministic (encoding/json sorts map keys).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series     map[string]SeriesSnapshot    `json:"series,omitempty"`
 }
 
 // Snapshot runs the collectors and exports every instrument. Safe on a nil
@@ -383,12 +325,6 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Histograms[name] = hs
 		}
 	}
-	if len(r.series) > 0 {
-		snap.Series = make(map[string]SeriesSnapshot, len(r.series))
-		for name, s := range r.series {
-			snap.Series[name] = SeriesSnapshot{Times: s.times, Values: s.values, Dropped: s.dropped}
-		}
-	}
 	return snap
 }
 
@@ -401,7 +337,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // Merge folds child's instruments into r under "prefix/name". Counters and
-// histogram buckets add; gauges overwrite; series append sample-by-sample.
+// histogram buckets add; gauges overwrite.
 // Child collectors run once (via Snapshot) and are not carried over. Sweep
 // drivers call Merge in deterministic (index) order after their parallel
 // phase so the combined registry is identical at any worker count.
@@ -435,15 +371,6 @@ func (r *Registry) Merge(prefix string, child *Registry) {
 			}
 			dst.sum += h.sum
 			dst.n += h.n
-		}
-	}
-	for name, s := range child.series {
-		dst := r.Series(prefix+"/"+name, s.capacity)
-		for i := range s.times {
-			dst.Append(s.times[i], s.values[i])
-		}
-		if dst != nil {
-			dst.dropped += s.dropped
 		}
 	}
 }

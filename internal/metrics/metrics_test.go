@@ -25,11 +25,6 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram accumulated")
 	}
-	s := r.Series("w", 4)
-	s.Append(0, 1)
-	if s.Len() != 0 {
-		t.Fatal("nil series accumulated")
-	}
 	r.OnCollect(func() { t.Fatal("collector on nil registry ran") })
 	r.Collect()
 	snap := r.Snapshot()
@@ -100,17 +95,6 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestSeriesCapacity(t *testing.T) {
-	r := New()
-	s := r.Series("cwnd", 2)
-	s.Append(0, 1)
-	s.Append(1, 2)
-	s.Append(2, 3)
-	if s.Len() != 2 || s.dropped != 1 {
-		t.Fatalf("len=%d dropped=%d", s.Len(), s.dropped)
-	}
-}
-
 func TestCollectorsRunAtSnapshot(t *testing.T) {
 	r := New()
 	g := r.Gauge("live")
@@ -133,7 +117,6 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		r.Counter("a").Add(1)
 		r.Gauge("g").Set(0.5)
 		r.Histogram("h", []float64{1, 2}).Observe(1.5)
-		r.Series("s", 8).Append(0, 3)
 		return r
 	}
 	var b1, b2 bytes.Buffer
@@ -158,7 +141,6 @@ func TestMerge(t *testing.T) {
 		child.Counter("drops").Add(3)
 		child.Gauge("occ").Set(float64(i))
 		child.Histogram("soj", []float64{1, 10}).Observe(5)
-		child.Series("ts", 4).Append(float64(i), 1)
 		parent.Merge("cell", child)
 	}
 	snap := parent.Snapshot()
@@ -171,9 +153,6 @@ func TestMerge(t *testing.T) {
 	h := snap.Histograms["cell/soj"]
 	if h.Count != 2 || h.Buckets[1].Count != 2 {
 		t.Fatalf("merged histogram = %+v", h)
-	}
-	if len(snap.Series["cell/ts"].Times) != 2 {
-		t.Fatalf("merged series = %+v", snap.Series["cell/ts"])
 	}
 }
 

@@ -18,6 +18,56 @@ func TestReadFlowsSniffsCSV(t *testing.T) {
 	}
 }
 
+// TestParseTrace reads a CSV trace with a comment, a header row and a
+// blank line, and checks every row comes back in file order.
+func TestParseTrace(t *testing.T) {
+	in := `# flows exported from somewhere
+start_seconds,size_segments
+0.1,4
+0.5,10
+
+2.25,100
+`
+	specs, err := ReadFlows(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 3 {
+		t.Fatalf("specs = %+v", specs)
+	}
+	if specs[0].Size != 4 || specs[1].Size != 10 || specs[2].Size != 100 {
+		t.Errorf("order wrong: %+v", specs)
+	}
+	if specs[0].Start != 100*units.Millisecond {
+		t.Errorf("start = %v", specs[0].Start)
+	}
+	if specs[2].Start != 2250*units.Millisecond {
+		t.Errorf("start = %v", specs[2].Start)
+	}
+}
+
+func TestReadFlowsCSVErrors(t *testing.T) {
+	cases := map[string]string{
+		"wrong fields":  "1,2,3\n",
+		"bad size":      "1.0,ten\n",
+		"negative":      "-1,5\n",
+		"zero size":     "1,0\n",
+		"bad start row": "0.1,5\n(oops),5\n",
+	}
+	for name, in := range cases {
+		if _, err := ReadFlows(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	// A trace with no rows is fine: comments only, or a header only.
+	for _, in := range []string{"# nothing\n", "start_seconds,size_segments\n"} {
+		specs, err := ReadFlows(strings.NewReader(in))
+		if err != nil || len(specs) != 0 {
+			t.Errorf("empty trace %q: %v %v", in, specs, err)
+		}
+	}
+}
+
 func TestReadFlowsSniffsJSON(t *testing.T) {
 	in := ` [
 		{"start": "100ms", "size": 4},
@@ -40,9 +90,9 @@ func TestReadFlowsSniffsJSON(t *testing.T) {
 	}
 }
 
-// TestReadFlowsRejectsOutOfOrder pins the bugfix: ParseTrace silently
-// resorted shuffled rows, hiding corrupted or mis-merged traces.
-// ReadFlows treats order as part of the format in both encodings.
+// TestReadFlowsRejectsOutOfOrder pins order as part of the format in
+// both encodings: silently resorting shuffled rows would hide corrupted
+// or mis-merged traces.
 func TestReadFlowsRejectsOutOfOrder(t *testing.T) {
 	cases := map[string]string{
 		"csv":  "0.5,10\n0.1,4\n",
@@ -57,14 +107,6 @@ func TestReadFlowsRejectsOutOfOrder(t *testing.T) {
 		if !strings.Contains(err.Error(), "ordered by start time") {
 			t.Errorf("%s: error %q does not explain the ordering contract", name, err)
 		}
-	}
-	// ParseTrace shares the same contract: it used to silently re-sort,
-	// which is precisely the hazard this test pins against.
-	_, err := ParseTrace(strings.NewReader("0.5,10\n0.1,4\n"))
-	if err == nil {
-		t.Error("ParseTrace: out-of-order trace accepted")
-	} else if !strings.Contains(err.Error(), "ordered by start time") {
-		t.Errorf("ParseTrace: error %q does not explain the ordering contract", err)
 	}
 }
 

@@ -8,52 +8,6 @@ import (
 	"bufsim/internal/units"
 )
 
-func TestParseTrace(t *testing.T) {
-	in := `# flows exported from somewhere
-start_seconds,size_segments
-0.1,4
-0.5,10
-
-2.25,100
-`
-	specs, err := ParseTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 3 {
-		t.Fatalf("specs = %+v", specs)
-	}
-	if specs[0].Size != 4 || specs[1].Size != 10 || specs[2].Size != 100 {
-		t.Errorf("order wrong: %+v", specs)
-	}
-	if specs[0].Start != 100*units.Millisecond {
-		t.Errorf("start = %v", specs[0].Start)
-	}
-	if specs[2].Start != 2250*units.Millisecond {
-		t.Errorf("start = %v", specs[2].Start)
-	}
-}
-
-func TestParseTraceErrors(t *testing.T) {
-	cases := map[string]string{
-		"wrong fields":  "1,2,3\n",
-		"bad size":      "1.0,ten\n",
-		"negative":      "-1,5\n",
-		"zero size":     "1,0\n",
-		"bad start row": "0.1,5\n(oops),5\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: no error", name)
-		}
-	}
-	// Empty trace is fine.
-	specs, err := ParseTrace(strings.NewReader("# nothing\n"))
-	if err != nil || len(specs) != 0 {
-		t.Errorf("empty trace: %v %v", specs, err)
-	}
-}
-
 func TestReplayRunsTrace(t *testing.T) {
 	s, d, _ := testDumbbell(5, 200, 10*units.Mbps)
 	specs := []FlowSpec{
@@ -87,7 +41,7 @@ func TestReplayRunsTrace(t *testing.T) {
 func TestReplayEndToEndFromCSV(t *testing.T) {
 	s, d, _ := testDumbbell(10, 100, 10*units.Mbps)
 	csv := "0.0,14\n0.2,14\n0.4,30\n0.6,8\n0.8,14\n"
-	specs, err := ParseTrace(strings.NewReader(csv))
+	specs, err := ReadFlows(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"bufsim/internal/audit"
+	"bufsim/internal/experiment"
 	"bufsim/internal/metrics"
 	"bufsim/internal/runcache"
 )
@@ -57,22 +58,22 @@ var openedCaches sync.Map // dir -> *Cache
 // carries. Options always win over the corresponding config field, so
 // callers can hold one base config and vary a switch per run:
 //
-//	bufsim.Simulate(cfg, bufsim.WithVariant(bufsim.Sack), bufsim.WithPacing(true))
+//	bufsim.Simulate(cfg, bufsim.WithCongestionControl(bufsim.Sack), bufsim.WithPacing(true))
 //
 // The zero set of options leaves the config untouched; existing callers
 // that pass only a config struct are unaffected.
 type Option func(*options)
 
 type options struct {
-	variant     *Variant
-	paced       *bool
-	delayedAck  *bool
-	red         *bool
-	metrics     *Registry
-	parallelism *int
-	audit       *Auditor
-	cache       *Cache
-	workload    Workload
+	// env carries WithMetrics, WithAudit, WithCache and WithParallelism
+	// into the experiment config every entry point lowers to.
+	env experiment.Env
+
+	variant    *Variant
+	paced      *bool
+	delayedAck *bool
+	red        *bool
+	workload   Workload
 }
 
 func applyOptions(opts []Option) options {
@@ -85,6 +86,24 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
+// overrideSwitches writes the congestion-control and queue switches the
+// options carry over the config fields they shadow. A nil target is a
+// switch the caller's config does not have.
+func (o options) overrideSwitches(variant *Variant, paced, delayedAck, red *bool) {
+	if o.variant != nil && variant != nil {
+		*variant = *o.variant
+	}
+	if o.paced != nil && paced != nil {
+		*paced = *o.paced
+	}
+	if o.delayedAck != nil && delayedAck != nil {
+		*delayedAck = *o.delayedAck
+	}
+	if o.red != nil && red != nil {
+		*red = *o.red
+	}
+}
+
 // WithCongestionControl selects the congestion-control family the
 // scenario's senders run: the classic window-based variants (Reno,
 // Tahoe, NewReno, Sack) or the modern families (Cubic, BBR). Note the
@@ -94,10 +113,6 @@ func applyOptions(opts []Option) options {
 func WithCongestionControl(v Variant) Option {
 	return func(o *options) { o.variant = &v }
 }
-
-// WithVariant is an alias for WithCongestionControl, kept for callers
-// that predate the pluggable congestion-control interface.
-func WithVariant(v Variant) Option { return WithCongestionControl(v) }
 
 // WithPacing spreads each sender's transmissions across the RTT instead
 // of ACK-clocked back-to-back bursts.
@@ -112,8 +127,9 @@ func WithDelayedACK(on bool) Option {
 }
 
 // WithRED switches the bottleneck from drop-tail to Random Early
-// Detection. Only Simulate honours it; the short-flow, mix and trace
-// scenarios study drop-tail buffers.
+// Detection sized to the scenario's buffer. Every entry point but
+// SimulateAdversary honours it; scenarios whose buffer is unlimited
+// (BufferPackets 0) must set a positive buffer to use it.
 func WithRED(on bool) Option {
 	return func(o *options) { o.red = &on }
 }
@@ -125,15 +141,16 @@ func WithRED(on bool) Option {
 // setting; only wall-clock time changes. Single-run entry points ignore
 // it — one simulation is always one goroutine.
 func WithParallelism(n int) Option {
-	return func(o *options) { o.parallelism = &n }
+	return func(o *options) { o.env.Parallelism = n }
 }
 
 // WithWorkload overrides the traffic driving a SimulateProfile run with
 // any Workload — a time-varying ProfileWorkload, a TraceWorkload, a
 // SessionWorkload or the stationary PoissonWorkload — so one base
-// scenario can grid over traffic models the way WithVariant grids over
-// congestion control. Workloads are pure data: with WithCache set, the
-// workload participates in the cache key like any other config field.
+// scenario can grid over traffic models the way WithCongestionControl
+// grids over congestion control. Workloads are pure data: with WithCache
+// set, the workload participates in the cache key like any other config
+// field.
 // Only SimulateProfile honours it; the legacy entry points' traffic is
 // part of their scenario shape.
 func WithWorkload(w Workload) Option {
@@ -145,7 +162,7 @@ func WithWorkload(w Workload) Option {
 // (reg.WriteJSON dumps them). Telemetry never perturbs the simulation:
 // the same seed yields identical packets with or without it.
 func WithMetrics(reg *Registry) Option {
-	return func(o *options) { o.metrics = reg }
+	return func(o *options) { o.env.Metrics = reg }
 }
 
 // WithAudit runs the simulation under the conservation-law checker: every
@@ -156,7 +173,7 @@ func WithMetrics(reg *Registry) Option {
 // The same Auditor may be shared by concurrent runs (SimulateReplicated);
 // it is concurrency-safe.
 func WithAudit(aud *Auditor) Option {
-	return func(o *options) { o.audit = aud }
+	return func(o *options) { o.env.Audit = aud }
 }
 
 // WithCache memoizes the run in a content-addressed result cache rooted
@@ -172,7 +189,7 @@ func WithAudit(aud *Auditor) Option {
 func WithCache(dir string) Option {
 	return func(o *options) {
 		if c, ok := openedCaches.Load(dir); ok {
-			o.cache = c.(*Cache)
+			o.env.Cache = c.(*Cache)
 			return
 		}
 		c, err := runcache.Open(dir)
@@ -180,12 +197,12 @@ func WithCache(dir string) Option {
 			panic(fmt.Sprintf("bufsim: WithCache(%q): %v", dir, err))
 		}
 		actual, _ := openedCaches.LoadOrStore(dir, c)
-		o.cache = actual.(*Cache)
+		o.env.Cache = actual.(*Cache)
 	}
 }
 
 // WithCacheStore is WithCache for a store the caller opened (or
 // configured — e.g. verification sampling via SetVerifySample) itself.
 func WithCacheStore(c *Cache) Option {
-	return func(o *options) { o.cache = c }
+	return func(o *options) { o.env.Cache = c }
 }

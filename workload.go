@@ -226,13 +226,9 @@ func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
 		Warmup:        cfg.Warmup,
 		Measure:       cfg.Measure,
 		Drain:         cfg.Drain,
-		Metrics:       o.metrics,
-		Audit:         o.audit,
-		Cache:         o.cache,
+		Env:           o.env,
 	}
-	if o.red != nil {
-		run.UseRED = *o.red
-	}
+	o.overrideSwitches(nil, nil, nil, &run.UseRED)
 	res := experiment.RunProfile(run)
 	return ProfileResult{
 		Utilization: res.Utilization,
@@ -254,19 +250,8 @@ func SimulateProfile(cfg ProfileSimulation, opts ...Option) ProfileResult {
 // every other entry point. Unknown Source implementations pass through
 // untouched.
 func overrideWorkloadTCP(w Workload, o options) Workload {
-	if o.variant == nil && o.paced == nil && o.delayedAck == nil {
-		return w
-	}
 	apply := func(c tcp.Config) tcp.Config {
-		if o.variant != nil {
-			c.Variant = *o.variant
-		}
-		if o.paced != nil {
-			c.Paced = *o.paced
-		}
-		if o.delayedAck != nil {
-			c.DelayedAck = *o.delayedAck
-		}
+		o.overrideSwitches(&c.Variant, &c.Paced, &c.DelayedAck, nil)
 		return c
 	}
 	switch s := w.(type) {
